@@ -2,13 +2,16 @@
 
 numpy holds the values; each op records its parents and a backward
 closure on the active :class:`Tape`. There is deliberately no autograd
-graph without a tape: calling ops outside a ``with Tape()`` block is
-plain (and faster) numpy. Fused ops (rms_norm, causal_attn,
-cross_entropy_mean, ...) keep the op count per transformer block small
-enough that finite-difference sweeps over every parameter stay cheap.
+graph without a tape: calling ops outside a ``with Tape()`` block, or
+inside a ``with no_record()`` block, is plain (and faster) numpy. Fused
+ops (rms_norm, causal_attn, cross_entropy_mean, ...) keep the op count
+per transformer block small enough that finite-difference sweeps over
+every parameter stay cheap.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -107,6 +110,21 @@ class Tape:
 
 def active_tape() -> Tape | None:
     return _ACTIVE_TAPE
+
+
+@contextmanager
+def no_record():
+    """Suspend the active tape; ops inside run as plain numpy.
+
+    The tape is restored on exit, also when the block raises.
+    """
+    global _ACTIVE_TAPE
+    suspended = _ACTIVE_TAPE
+    _ACTIVE_TAPE = None
+    try:
+        yield
+    finally:
+        _ACTIVE_TAPE = suspended
 
 
 def _wrap(value) -> Tensor:
@@ -389,9 +407,3 @@ def draw_normal(stream, shape, mean: float, std: float,
     """i.i.d. normal leaf tensor from a deterministic stream."""
     return Tensor(stream.normal(shape, mean, std, dtype=dtype))
 
-
-def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    """Value-mode softmax helper (no tape)."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)

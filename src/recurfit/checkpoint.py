@@ -19,6 +19,7 @@ from .errors import FormatError
 
 MAGIC = b"RFCK"
 FORMAT_VERSION = 1
+PREAMBLE_BYTES = 16  # magic, u32 version, u64 header length
 
 
 @dataclass
@@ -56,14 +57,21 @@ class Checkpoint:
             blob = f.read()
         if blob[:4] != MAGIC:
             raise FormatError(f"{path}: bad magic {blob[:4]!r}")
-        version, header_len = struct.unpack("<IQ", blob[4:16])
+        if len(blob) < PREAMBLE_BYTES:
+            raise FormatError(f"{path}: truncated preamble ({len(blob)} of "
+                              f"{PREAMBLE_BYTES} bytes)")
+        version, header_len = struct.unpack("<IQ", blob[4:PREAMBLE_BYTES])
         if version != FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported format version {version}")
+        body = PREAMBLE_BYTES + header_len
         try:
-            header = json.loads(blob[16:16 + header_len].decode())
+            header = json.loads(blob[PREAMBLE_BYTES:body].decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}: corrupt header: {exc}") from exc
-        payload = blob[16 + header_len:]
+        if not (isinstance(header, dict) and "tensors" in header
+                and "metadata" in header):
+            raise FormatError(f"{path}: header lacks 'tensors' or 'metadata'")
+        payload = blob[body:]
         tensors = {}
         spans = []
         for name, ent in header["tensors"].items():

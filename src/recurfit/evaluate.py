@@ -6,6 +6,11 @@ and reports loss, answer-position exact-match accuracy, the effective
 parameter count P + C + r*(R + adapter), and a per-token inference FLOP
 proxy (2x effective parameters). The initial state is drawn from a
 reported evaluation seed so numbers are comparable across runs.
+
+Each micro-batch is run once: the recurrence iterates up to the largest
+requested r and every requested r is read out on the way, so a sweep
+costs max(r) recurrent passes per micro-batch, not sum(r). The forwards
+run under `ag.no_record()` and never grow a caller's tape.
 """
 
 from __future__ import annotations
@@ -19,10 +24,9 @@ from . import autograd as ag
 from .data import answer_mask, eval_batch
 from .errors import ContractError
 from .flops import effective_params
-from .model import (FixedModel, RecurrenceRun, RecurrentModel, forward_fixed,
-                    forward_recurrent)
+from .model import FixedModel, RecurrentModel, forward_fixed, recurrence_sweep
 from .random import RandomStream
-from .surgery import count_parameters
+from .surgery import count_fixed_params, count_parameters
 
 DEFAULT_RECURRENCES = (1, 2, 4, 8, 16, 32)
 
@@ -58,36 +62,43 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def _forward_values(model, inputs, r: int, s0_seed: int, batch_index: int):
+def _sweep_logits(model, inputs, recurrences, s0_stream):
+    """(r, logits) for each distinct r; a fixed-depth model has no
+    recurrence, so its one forward serves every r."""
     if isinstance(model, FixedModel):
-        return forward_fixed(model, inputs).data
-    run = RecurrenceRun(r, window=max(r, 1),
-                        s0_stream=RandomStream(s0_seed, f"eval_s0/{batch_index}"))
-    return forward_recurrent(model, inputs, run).data
+        logits = forward_fixed(model, inputs)
+        return ((r, logits) for r in sorted(set(recurrences)))
+    return recurrence_sweep(model, inputs, recurrences, s0_stream)
 
 
-def _loss_and_accuracy(model, inputs, targets, mask, r, s0_seed,
-                       micro_batch: int = 8):
-    total_nll = 0.0
-    total_tokens = 0
-    hits = 0
-    answer_total = 0
-    for b, lo in enumerate(range(0, inputs.shape[0], micro_batch)):
-        sl = slice(lo, lo + micro_batch)
-        logits = _forward_values(model, inputs[sl], r, s0_seed, b)
-        zmax = logits.max(axis=-1, keepdims=True)
-        lse = np.log(np.exp(logits - zmax).sum(axis=-1)) + zmax[..., 0]
-        picked = np.take_along_axis(logits, targets[sl][..., None],
-                                    axis=-1)[..., 0]
-        total_nll += float((lse - picked).sum())
-        total_tokens += picked.size
-        pred = logits.argmax(axis=-1)
-        m = mask[sl]
-        hits += int(((pred == targets[sl]) & m).sum())
-        answer_total += int(m.sum())
-    loss = total_nll / total_tokens
-    accuracy = hits / max(answer_total, 1)
-    return loss, accuracy
+def _loss_and_accuracy(model, inputs, targets, mask, recurrences, s0_seed,
+                       micro_batch: int = 8) -> dict:
+    """r -> (loss, accuracy) for each distinct r in `recurrences`.
+
+    Sums run over micro-batches in order, so each r's figures do not
+    depend on which other counts share the sweep.
+    """
+    sums: dict = {}  # r -> [nll, tokens, answer hits, answer positions]
+    with ag.no_record():
+        for b, lo in enumerate(range(0, inputs.shape[0], micro_batch)):
+            sl = slice(lo, lo + micro_batch)
+            stream = RandomStream(s0_seed, f"eval_s0/{b}")
+            for r, logits in _sweep_logits(model, inputs[sl], recurrences,
+                                           stream):
+                logits = logits.data
+                zmax = logits.max(axis=-1, keepdims=True)
+                lse = np.log(np.exp(logits - zmax).sum(axis=-1)) + zmax[..., 0]
+                picked = np.take_along_axis(logits, targets[sl][..., None],
+                                            axis=-1)[..., 0]
+                pred = logits.argmax(axis=-1)
+                m = mask[sl]
+                acc = sums.setdefault(r, [0.0, 0, 0, 0])
+                acc[0] += float((lse - picked).sum())
+                acc[1] += picked.size
+                acc[2] += int(((pred == targets[sl]) & m).sum())
+                acc[3] += int(m.sum())
+    return {r: (nll / tokens, hits / max(answers, 1))
+            for r, (nll, tokens, hits, answers) in sums.items()}
 
 
 def val_loss(model, dataset_id: str, r: int, s0_seed: int = 0,
@@ -95,11 +106,11 @@ def val_loss(model, dataset_id: str, r: int, s0_seed: int = 0,
     """Mean cross entropy on held-out items; no gradients recorded."""
     if r < 1:
         raise ContractError("recurrence must be >= 1")
-    assert ag.active_tape() is None
     inputs, targets = eval_batch(data_seed, dataset_id, n_items,
                                  model.config.context_length)
     mask = answer_mask(dataset_id, targets)
-    loss, _ = _loss_and_accuracy(model, inputs, targets, mask, r, s0_seed)
+    loss, _ = _loss_and_accuracy(model, inputs, targets, mask, (r,),
+                                 s0_seed)[r]
     return loss
 
 
@@ -117,14 +128,14 @@ def eval_sweep(model, dataset_id: str,
         report = count_parameters(model.config, model.plan_tuple)
     else:
         report = None
+    results = _loss_and_accuracy(model, inputs, targets, mask, recurrences,
+                                 s0_seed)
     rows = []
     for r in sorted(recurrences):
-        loss, accuracy = _loss_and_accuracy(model, inputs, targets, mask, r,
-                                            s0_seed)
+        loss, accuracy = results[r]
         if report is not None:
             n_eff = effective_params(report, r)
         else:
-            from .surgery import count_fixed_params
             n_eff = count_fixed_params(model.config, len(model.blocks))["body"]
         rows.append(SweepRow(r=r, loss=loss, accuracy=accuracy,
                              effective_params=n_eff,

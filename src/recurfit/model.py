@@ -3,8 +3,11 @@
 The fixed-depth model is a plain llama-style stack. The recurrent model
 splits the stack into a prelude, a weight-shared recurrent block entered
 through a bias-free 2h->h adapter, and a coda; the prelude output is
-injected into every recurrent iteration and earlier states are detached
-once the iteration falls outside the backprop window.
+injected into every recurrent iteration. Under truncated backprop only
+the last w of r iterations are recorded on the tape: the iterations
+before them run untaped, since no gradient reaches them. For evaluation,
+`recurrence_sweep` runs the recurrence once up to the largest requested
+count and reads out logits at each requested count on the way.
 """
 
 from __future__ import annotations
@@ -98,7 +101,8 @@ class RecurrenceRun:
 
     @property
     def detach_boundary(self) -> int:
-        """Number of leading iterations that carry no gradients."""
+        """Number of leading iterations that carry no gradients; they
+        run untaped."""
         return self.r - min(self.r, self.window)
 
 
@@ -204,6 +208,11 @@ def _check_tokens(tokens, cfg: ModelConfig) -> np.ndarray:
     tokens = np.asarray(tokens)
     if tokens.ndim == 1:
         tokens = tokens[None, :]
+    if tokens.ndim != 2 or tokens.size == 0:
+        raise InputError(f"token batch must be a nonempty (batch, n) array, "
+                         f"got shape {tokens.shape}")
+    if not np.issubdtype(tokens.dtype, np.integer):
+        raise InputError(f"token ids must be integers, got {tokens.dtype}")
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise InputError("token id out of vocabulary range")
     return tokens
@@ -257,13 +266,22 @@ def recurrent_step(model: RecurrentModel, s: Tensor, e: Tensor) -> Tensor:
     return x
 
 
+def _coda_logits(model: RecurrentModel, s: Tensor) -> Tensor:
+    for bw in model.coda:
+        s = decoder_block(s, bw, model.config)
+    return _unembed_logits(s, model)
+
+
 def forward_recurrent(model: RecurrentModel, tokens, run: RecurrenceRun,
                       initial_state: Tensor | None = None) -> Tensor:
-    """Recurrent forward with truncated-backprop detaching.
+    """Recurrent forward under truncated backprop.
 
-    The injected prelude output e is never detached, so prelude gradients
-    flow through every in-window iteration; states produced at or before
-    the detach boundary are detached before reuse.
+    The first `run.detach_boundary` iterations run under `ag.no_record()`:
+    backward never reaches them, so they leave nothing on the tape and
+    each state is freed once the next iteration has read it. The last
+    min(r, window) iterations are recorded. The injected prelude output e
+    feeds every recorded iteration, so prelude gradients flow through
+    each of them.
     """
     tokens = _check_tokens(tokens, model.config)
     e = prelude_forward(model, tokens)
@@ -273,13 +291,36 @@ def forward_recurrent(model: RecurrentModel, tokens, run: RecurrenceRun,
         stream = run.s0_stream or RandomStream(0, "s0")
         s = sample_initial_state(model.config, tokens.shape[0], tokens.shape[1],
                                  stream, dtype=model.embed.dtype)
-    boundary = run.detach_boundary
-    for i in range(1, run.r + 1):
-        s_in = s.detach() if (i - 1) <= boundary and i > 1 else s
-        s = recurrent_step(model, s_in, e)
-    for bw in model.coda:
-        s = decoder_block(s, bw, model.config)
-    return _unembed_logits(s, model)
+    with ag.no_record():
+        for _ in range(run.detach_boundary):
+            s = recurrent_step(model, s, e)
+    for _ in range(run.r - run.detach_boundary):
+        s = recurrent_step(model, s, e)
+    return _coda_logits(model, s)
+
+
+def recurrence_sweep(model: RecurrentModel, tokens, recurrences,
+                     s0_stream: RandomStream):
+    """Yield (r, logits) for each distinct r in `recurrences`, ascending.
+
+    One pass: the prelude runs and s0 is drawn once, then the recurrent
+    block iterates up to the largest r, and coda + unembed read out the
+    state at each requested r. The logits at r equal those of
+    `forward_recurrent` at r from the same s0 stream, bit for bit.
+    """
+    wanted = sorted(set(recurrences))
+    if not wanted or wanted[0] < 1:
+        raise ContractError(f"recurrence counts must be >= 1, got {wanted}")
+    tokens = _check_tokens(tokens, model.config)
+    e = prelude_forward(model, tokens)
+    s = sample_initial_state(model.config, tokens.shape[0], tokens.shape[1],
+                             s0_stream, dtype=model.embed.dtype)
+    done = 0
+    for r in wanted:
+        for _ in range(r - done):
+            s = recurrent_step(model, s, e)
+        done = r
+        yield r, _coda_logits(model, s)
 
 
 # ---------------------------------------------------------------------------

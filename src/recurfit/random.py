@@ -10,7 +10,7 @@ sampling a pure function of the run seed.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ class RandomStream:
     seed: int
     label: str = "root"
     counter: int = 0
-    _spent: bool = field(default=False, repr=False)
 
     def child(self, label: str) -> "RandomStream":
         """Independent stream derived from this one's seed and label."""

@@ -34,10 +34,9 @@ class DepthDistribution:
 def sample_recurrence(dist: DepthDistribution, stream: RandomStream) -> int:
     if dist.mean == 1:
         return 1
-    gen = stream
-    log_rate = gen.normal((), math.log(dist.mean - 1) - dist.spread ** 2 / 2,
-                          dist.spread)
-    return 1 + gen.poisson(float(math.exp(log_rate)))
+    mu = math.log(dist.mean - 1) - dist.spread ** 2 / 2
+    log_rate = stream.normal((), mu, dist.spread)
+    return 1 + stream.poisson(float(math.exp(log_rate)))
 
 
 @dataclass

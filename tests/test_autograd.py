@@ -89,6 +89,34 @@ def test_detached_node_has_no_parents_on_tape():
         assert d in tape.nodes and d.parents == () and d.detached
 
 
+def test_no_record_suspends_and_restores_tape():
+    a, b = Tensor(np.ones(2)), Tensor(np.ones(2))
+    with Tape() as tape:
+        before = ag.add(a, b)
+        with ag.no_record():
+            assert ag.active_tape() is None
+            inside = ag.mul(before, b)
+            detached = inside.detach()
+        assert ag.active_tape() is tape
+        after = ag.tsum(before)
+    assert tape.nodes == [before, after]
+    assert inside.parents == () and inside.backward_fn is None
+    assert detached not in tape.nodes
+    assert ag.active_tape() is None
+
+
+def test_no_record_restores_tape_after_exception():
+    with Tape() as tape:
+        with pytest.raises(ShapeError):
+            with ag.no_record():
+                ag.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        assert ag.active_tape() is tape
+    with pytest.raises(ShapeError):
+        with ag.no_record():
+            ag.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+    assert ag.active_tape() is None
+
+
 def test_tape_topological_order():
     a, b = Tensor(np.ones(2)), Tensor(np.ones(2))
     with Tape() as tape:

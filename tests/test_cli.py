@@ -162,6 +162,9 @@ def test_exit_code_format_error(tmp_path, donor_ckpt, capsys):
                  "4,4,4", "--out", str(tmp_path / "x.rfck")]) == EXIT_FORMAT
     assert main(["eval", "--checkpoint", str(tmp_path / "missing.rfck")]) == \
         EXIT_FORMAT
+    short = tmp_path / "short.rfck"
+    short.write_bytes(b"RFCK12")
+    assert main(["eval", "--checkpoint", str(short)]) == EXIT_FORMAT
 
 
 def test_exit_code_data_error(tmp_path, donor_ckpt, capsys):

@@ -6,10 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from recurfit import autograd as ag
+from recurfit.data import answer_mask, eval_batch
 from recurfit.errors import ContractError
 from recurfit.evaluate import (DEFAULT_RECURRENCES, eval_sweep, val_loss)
 from recurfit.flops import effective_params
-from recurfit.model import ModelConfig, init_fixed, init_recurrent
+from recurfit.model import (FixedModel, ModelConfig, RecurrenceRun,
+                            forward_fixed, forward_recurrent, init_fixed,
+                            init_recurrent)
 from recurfit.random import RandomStream
 from recurfit.surgery import (apply_surgery, count_parameters, make_plan,
                               model_from_checkpoint, model_to_checkpoint,
@@ -56,6 +60,71 @@ def test_sweep_rows_and_effective_params():
         assert row.flop_proxy == pytest.approx(2.0 * row.effective_params)
         assert math.isfinite(row.loss)
         assert 0.0 <= row.accuracy <= 1.0
+
+
+def _per_r_oracle(model, dataset_id, r, s0_seed=0, n_items=8,
+                  data_seed=1234, micro_batch=8):
+    """(loss, accuracy) from one full `forward_recurrent` per micro-batch
+    at r, restarting the recurrence from s0 for every r."""
+    inputs, targets = eval_batch(data_seed, dataset_id, n_items,
+                                 model.config.context_length)
+    mask = answer_mask(dataset_id, targets)
+    total_nll, total_tokens, hits, answer_total = 0.0, 0, 0, 0
+    for b, lo in enumerate(range(0, inputs.shape[0], micro_batch)):
+        sl = slice(lo, lo + micro_batch)
+        if isinstance(model, FixedModel):
+            logits = forward_fixed(model, inputs[sl]).data
+        else:
+            run = RecurrenceRun(r, window=r, s0_stream=RandomStream(
+                s0_seed, f"eval_s0/{b}"))
+            logits = forward_recurrent(model, inputs[sl], run).data
+        zmax = logits.max(axis=-1, keepdims=True)
+        lse = np.log(np.exp(logits - zmax).sum(axis=-1)) + zmax[..., 0]
+        picked = np.take_along_axis(logits, targets[sl][..., None],
+                                    axis=-1)[..., 0]
+        total_nll += float((lse - picked).sum())
+        total_tokens += picked.size
+        hits += int(((logits.argmax(axis=-1) == targets[sl]) & mask[sl]).sum())
+        answer_total += int(mask[sl].sum())
+    return total_nll / total_tokens, hits / max(answer_total, 1)
+
+
+def test_one_pass_sweep_equals_per_r_oracle():
+    """Unsorted, duplicated counts over two micro-batches: every row equals
+    a fresh per-r forward exactly, duplicates included."""
+    model = fresh_recurrent()
+    result = eval_sweep(model, "arithmetic", recurrences=(4, 1, 3, 1),
+                        s0_seed=5, n_items=12)
+    assert [row.r for row in result.rows] == [1, 1, 3, 4]
+    for row in result.rows:
+        loss, accuracy = _per_r_oracle(model, "arithmetic", row.r, s0_seed=5,
+                                       n_items=12)
+        assert row.loss == loss and row.accuracy == accuracy
+
+
+def test_fixed_model_sweep_and_val_loss_equal_oracle():
+    donor = init_fixed(CFG, 2, RandomStream(3, "init"))
+    result = eval_sweep(donor, "copy", recurrences=(2, 1), n_items=8)
+    loss, accuracy = _per_r_oracle(donor, "copy", 1)
+    assert [(row.r, row.loss, row.accuracy) for row in result.rows] == \
+        [(1, loss, accuracy), (2, loss, accuracy)]
+    assert val_loss(donor, "copy", r=1, n_items=8) == loss
+
+
+def test_val_loss_equals_per_r_oracle():
+    model = fresh_recurrent()
+    for r in (1, 3):
+        assert val_loss(model, "copy", r=r, s0_seed=2, n_items=8) == \
+            _per_r_oracle(model, "copy", r, s0_seed=2)[0]
+
+
+def test_eval_records_nothing_on_callers_tape():
+    model = fresh_recurrent()
+    with ag.Tape() as tape:
+        val_loss(model, "plain", r=2, n_items=8)
+        eval_sweep(model, "plain", recurrences=(1, 2), n_items=8)
+        assert ag.active_tape() is tape
+    assert tape.nodes == []
 
 
 def test_sweep_superset_contains_subset_rows():

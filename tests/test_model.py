@@ -6,8 +6,9 @@ from recurfit.autograd import Tape, Tensor
 from recurfit.errors import ContractError, InputError
 from recurfit.model import (ModelConfig, RecurrenceRun, decoder_block,
                             forward_fixed, forward_recurrent, init_fixed,
-                            init_recurrent, prelude_forward, recurrent_step,
-                            sample_initial_state, _unembed_logits)
+                            init_recurrent, prelude_forward, recurrence_sweep,
+                            recurrent_step, sample_initial_state,
+                            _unembed_logits)
 from recurfit.random import RandomStream
 
 from conftest import grads_by_name
@@ -65,6 +66,23 @@ def test_forward_fixed_shapes_and_range(tiny_fixed):
     assert logits.shape == (1, 1, 11)
     with pytest.raises(InputError):
         forward_fixed(tiny_fixed, np.array([11]))
+
+
+@pytest.mark.parametrize("tokens", [np.zeros((1, 0), dtype=np.int64),
+                                    np.zeros((0, 3), dtype=np.int64)])
+def test_empty_token_batch_is_input_error(tiny_fixed, tiny_recurrent, tokens):
+    with pytest.raises(InputError, match="nonempty"):
+        forward_fixed(tiny_fixed, tokens)
+    with pytest.raises(InputError, match="nonempty"):
+        forward_recurrent(tiny_recurrent, tokens, RecurrenceRun(2, 8))
+
+
+def test_float_token_ids_are_input_error(tiny_fixed, tiny_recurrent):
+    tokens = np.array([[1.0, 2.0, 3.0]])
+    with pytest.raises(InputError, match="integers"):
+        forward_fixed(tiny_fixed, tokens)
+    with pytest.raises(InputError, match="integers"):
+        forward_recurrent(tiny_recurrent, tokens, RecurrenceRun(2, 8))
 
 
 def test_forward_fixed_deterministic(tiny_cfg):
@@ -151,6 +169,33 @@ def test_truncation_matches_explicit_detach_oracle(tiny_recurrent):
         assert np.abs(g_trunc[name] - g_oracle[name]).max() < 1e-12
     assert np.abs(g_trunc["prelude.0.wq"]).max() > 0
     assert np.abs(g_trunc["embed"]).max() > 0
+
+
+def test_tape_length_independent_of_r_beyond_window(tiny_recurrent):
+    """Out-of-window iterations run untaped, so the tape holds the same
+    nodes at r=12 and r=40 for w=8."""
+    tokens = np.array([[1, 2, 3]])
+    lengths = []
+    for r in (12, 40):
+        with Tape() as tape:
+            forward_recurrent(tiny_recurrent, tokens,
+                              RecurrenceRun(r, 8, RandomStream(9, "s0")))
+        lengths.append(len(tape.nodes))
+    assert lengths[0] == lengths[1]
+
+
+def test_recurrence_sweep_matches_forward_recurrent(tiny_recurrent):
+    tokens = np.array([[1, 2, 3, 4], [5, 6, 7, 8]])
+    got = list(recurrence_sweep(tiny_recurrent, tokens, [5, 1, 3, 5],
+                                RandomStream(9, "s0")))
+    assert [r for r, _ in got] == [1, 3, 5]
+    for r, logits in got:
+        ref = forward_recurrent(tiny_recurrent, tokens,
+                                RecurrenceRun(r, r, RandomStream(9, "s0")))
+        assert np.array_equal(logits.data, ref.data)
+    with pytest.raises(ContractError):
+        list(recurrence_sweep(tiny_recurrent, tokens, [0, 2],
+                              RandomStream(9, "s0")))
 
 
 def test_truncation_locality_iteration_sum(tiny_recurrent):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,22 @@ def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.rfck"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(FormatError):
+        Checkpoint.load(path)
+
+
+def test_checkpoint_truncated_preamble(tmp_path):
+    path = tmp_path / "short.rfck"
+    path.write_bytes(b"RFCK12")
+    with pytest.raises(FormatError, match="truncated"):
+        Checkpoint.load(path)
+
+
+@pytest.mark.parametrize("header", [b'{"metadata": {}}', b'{"tensors": {}}',
+                                    b'[1, 2]'])
+def test_checkpoint_header_without_directory_or_metadata(tmp_path, header):
+    path = tmp_path / "headless.rfck"
+    path.write_bytes(b"RFCK" + struct.pack("<IQ", 1, len(header)) + header)
+    with pytest.raises(FormatError, match="tensors"):
         Checkpoint.load(path)
 
 
