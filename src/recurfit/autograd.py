@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ContractError, NonFiniteError, ShapeError
+from .errors import ContractError, InputError, NonFiniteError, ShapeError
 
 _ACTIVE_TAPE: "Tape | None" = None
 _CHECK_FINITE = True
@@ -375,16 +375,27 @@ def causal_attn(q, k, v, att_scale: float) -> Tensor:
     return _make(data, (q, k, v), bwd)
 
 
+def token_nll(logits: np.ndarray, targets: np.ndarray) -> tuple:
+    """(-log softmax(logits)[target] per position, exp(logits - max)),
+    for integer targets in [0, vocab)."""
+    if not np.issubdtype(targets.dtype, np.integer):
+        raise InputError(f"target ids must be integers, got {targets.dtype}")
+    if targets.size and (targets.min() < 0
+                         or targets.max() >= logits.shape[-1]):
+        raise InputError("target id out of vocabulary range")
+    zmax = logits.max(axis=-1, keepdims=True)
+    exp = np.exp(logits - zmax)
+    lse = np.log(exp.sum(axis=-1)) + zmax[..., 0]
+    picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
+    return lse - picked, exp
+
+
 def cross_entropy_mean(logits, targets: np.ndarray,
                        mask: np.ndarray | None = None) -> Tensor:
     """Mean next-token cross entropy; `mask` selects counted positions."""
     logits = _wrap(logits)
     targets = np.asarray(targets)
-    zmax = logits.data.max(axis=-1, keepdims=True)
-    exp = np.exp(logits.data - zmax)
-    lse = np.log(exp.sum(axis=-1)) + zmax[..., 0]
-    picked = np.take_along_axis(logits.data, targets[..., None], axis=-1)[..., 0]
-    per_token = lse - picked
+    per_token, exp = token_nll(logits.data, targets)
     if mask is None:
         count = per_token.size
         loss = per_token.sum() / count

@@ -68,19 +68,24 @@ class Checkpoint:
             header = json.loads(blob[PREAMBLE_BYTES:body].decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}: corrupt header: {exc}") from exc
-        if not (isinstance(header, dict) and "tensors" in header
-                and "metadata" in header):
-            raise FormatError(f"{path}: header lacks 'tensors' or 'metadata'")
+        if not isinstance(header, dict) or not all(
+                isinstance(header.get(k), dict) for k in ("tensors", "metadata")):
+            raise FormatError(f"{path}: header needs 'tensors' and "
+                              f"'metadata' objects")
         payload = blob[body:]
         tensors = {}
         spans = []
         for name, ent in header["tensors"].items():
-            lo, hi = ent["offset"], ent["offset"] + ent["nbytes"]
-            if lo < 0 or hi > len(payload):
-                raise FormatError(f"{path}: tensor {name} outside payload")
+            try:
+                lo, hi = ent["offset"], ent["offset"] + ent["nbytes"]
+                if lo < 0 or hi > len(payload):
+                    raise FormatError(f"{path}: tensor {name} outside payload")
+                arr = np.frombuffer(payload[lo:hi], dtype=np.dtype(ent["dtype"]))
+                tensors[name] = arr.reshape(ent["shape"]).copy()
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FormatError(f"{path}: bad directory entry for tensor "
+                                  f"{name}: {exc!r}") from exc
             spans.append((lo, hi, name))
-            arr = np.frombuffer(payload[lo:hi], dtype=np.dtype(ent["dtype"]))
-            tensors[name] = arr.reshape(ent["shape"]).copy()
         spans.sort()
         for (_, hi_a, name_a), (lo_b, _, name_b) in zip(spans, spans[1:]):
             if lo_b < hi_a:

@@ -24,7 +24,7 @@ from .data import eval_batch
 from .errors import (ConfigError, ContractError, DivergenceError, FormatError,
                      InputError, PlanError)
 from .evaluate import DEFAULT_RECURRENCES, eval_sweep
-from .flops import flops_fixed, flops_for_step
+from .flops import flops_fixed, flops_for_step, recurrent_split
 from .random import RandomStream
 from .schedules import curriculum_mean, lr_at, window_at
 from .surgery import (apply_surgery, block_influence_scores,
@@ -94,16 +94,13 @@ def cmd_flops(args) -> int:
                    "tokens": tokens, "flops": value}
     else:
         report = count_parameters(cfg.model, tuple(cfg.plan_tuple))
-        value = flops_for_step(report, args.mean_r, args.window, tokens)
-        shared = report.recurrent_block + report.adapter
+        n1, n2 = recurrent_split(report, args.mean_r, args.window)
         payload = {"model_kind": "recurrent",
                    "param_report": report.to_dict(),
                    "mean_r": args.mean_r, "window": args.window,
-                   "tokens": tokens,
-                   "n1": report.prelude + report.coda
-                         + min(args.mean_r, args.window) * shared,
-                   "n2": max(args.mean_r - args.window, 0) * shared,
-                   "flops": value}
+                   "tokens": tokens, "n1": n1, "n2": n2,
+                   "flops": flops_for_step(report, args.mean_r, args.window,
+                                           tokens)}
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 

@@ -18,13 +18,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autograd as ag
 from .data import answer_mask, eval_batch
 from .errors import ContractError
 from .flops import effective_params
-from .model import FixedModel, RecurrentModel, forward_fixed, recurrence_sweep
+from .model import FixedModel, forward_fixed, recurrence_sweep
 from .random import RandomStream
 from .surgery import count_fixed_params, count_parameters
 
@@ -71,13 +69,20 @@ def _sweep_logits(model, inputs, recurrences, s0_stream):
     return recurrence_sweep(model, inputs, recurrences, s0_stream)
 
 
-def _loss_and_accuracy(model, inputs, targets, mask, recurrences, s0_seed,
+def _loss_and_accuracy(model, dataset_id: str, recurrences, s0_seed: int,
+                       n_items: int, data_seed: int,
                        micro_batch: int = 8) -> dict:
-    """r -> (loss, accuracy) for each distinct r in `recurrences`.
+    """r -> (loss, accuracy) on held-out items for each distinct r.
 
     Sums run over micro-batches in order, so each r's figures do not
     depend on which other counts share the sweep.
     """
+    if not recurrences or min(recurrences) < 1:
+        raise ContractError(f"recurrence counts must be >= 1, got "
+                            f"{list(recurrences)}")
+    inputs, targets = eval_batch(data_seed, dataset_id, n_items,
+                                 model.config.context_length)
+    mask = answer_mask(dataset_id, targets)
     sums: dict = {}  # r -> [nll, tokens, answer hits, answer positions]
     with ag.no_record():
         for b, lo in enumerate(range(0, inputs.shape[0], micro_batch)):
@@ -85,16 +90,12 @@ def _loss_and_accuracy(model, inputs, targets, mask, recurrences, s0_seed,
             stream = RandomStream(s0_seed, f"eval_s0/{b}")
             for r, logits in _sweep_logits(model, inputs[sl], recurrences,
                                            stream):
-                logits = logits.data
-                zmax = logits.max(axis=-1, keepdims=True)
-                lse = np.log(np.exp(logits - zmax).sum(axis=-1)) + zmax[..., 0]
-                picked = np.take_along_axis(logits, targets[sl][..., None],
-                                            axis=-1)[..., 0]
-                pred = logits.argmax(axis=-1)
+                nll, _ = ag.token_nll(logits.data, targets[sl])
+                pred = logits.data.argmax(axis=-1)
                 m = mask[sl]
                 acc = sums.setdefault(r, [0.0, 0, 0, 0])
-                acc[0] += float((lse - picked).sum())
-                acc[1] += picked.size
+                acc[0] += float(nll.sum())
+                acc[1] += nll.size
                 acc[2] += int(((pred == targets[sl]) & m).sum())
                 acc[3] += int(m.sum())
     return {r: (nll / tokens, hits / max(answers, 1))
@@ -104,14 +105,8 @@ def _loss_and_accuracy(model, inputs, targets, mask, recurrences, s0_seed,
 def val_loss(model, dataset_id: str, r: int, s0_seed: int = 0,
              n_items: int = 16, data_seed: int = 1234) -> float:
     """Mean cross entropy on held-out items; no gradients recorded."""
-    if r < 1:
-        raise ContractError("recurrence must be >= 1")
-    inputs, targets = eval_batch(data_seed, dataset_id, n_items,
-                                 model.config.context_length)
-    mask = answer_mask(dataset_id, targets)
-    loss, _ = _loss_and_accuracy(model, inputs, targets, mask, (r,),
-                                 s0_seed)[r]
-    return loss
+    return _loss_and_accuracy(model, dataset_id, (r,), s0_seed, n_items,
+                              data_seed)[r][0]
 
 
 def eval_sweep(model, dataset_id: str,
@@ -119,17 +114,10 @@ def eval_sweep(model, dataset_id: str,
                n_items: int = 16, data_seed: int = 1234) -> SweepResult:
     """One row of loss/accuracy/size per test-time recurrence count."""
     recurrences = list(recurrences)
-    if not recurrences:
-        raise ContractError("recurrence list must be nonempty")
-    inputs, targets = eval_batch(data_seed, dataset_id, n_items,
-                                 model.config.context_length)
-    mask = answer_mask(dataset_id, targets)
-    if isinstance(model, RecurrentModel):
-        report = count_parameters(model.config, model.plan_tuple)
-    else:
-        report = None
-    results = _loss_and_accuracy(model, inputs, targets, mask, recurrences,
-                                 s0_seed)
+    results = _loss_and_accuracy(model, dataset_id, recurrences, s0_seed,
+                                 n_items, data_seed)
+    report = (None if isinstance(model, FixedModel)
+              else count_parameters(model.config, model.plan_tuple))
     rows = []
     for r in sorted(recurrences):
         loss, accuracy = results[r]

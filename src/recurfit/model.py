@@ -8,11 +8,16 @@ the last w of r iterations are recorded on the tape: the iterations
 before them run untaped, since no gradient reaches them. For evaluation,
 `recurrence_sweep` runs the recurrence once up to the largest requested
 count and reads out logits at each requested count on the way.
+
+This module owns the parameter layout: `block_fields(cfg)` names a
+block's tensors, `segments()` a model's block sections, and `params()`
+every tensor in checkpoint order (embed, sections with the adapter before
+the recurrent block, final_norm, unembed); gradient clipping sums in it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,6 +65,16 @@ class ModelConfig:
         return cls(**d)
 
 
+BLOCK_FIELDS = ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down",
+                "g_attn", "g_mlp")
+QK_FIELDS = ("q_gain", "k_gain")
+
+
+def block_fields(cfg: ModelConfig) -> tuple:
+    """Tensor names of one block, in parameter order."""
+    return BLOCK_FIELDS + (QK_FIELDS if cfg.qk_norm else ())
+
+
 @dataclass
 class BlockWeights:
     wq: Tensor
@@ -75,15 +90,8 @@ class BlockWeights:
     k_gain: Tensor | None = None
 
     def named(self, prefix: str) -> dict:
-        names = {f"{prefix}.wq": self.wq, f"{prefix}.wk": self.wk,
-                 f"{prefix}.wv": self.wv, f"{prefix}.wo": self.wo,
-                 f"{prefix}.w_gate": self.w_gate, f"{prefix}.w_up": self.w_up,
-                 f"{prefix}.w_down": self.w_down, f"{prefix}.g_attn": self.g_attn,
-                 f"{prefix}.g_mlp": self.g_mlp}
-        if self.q_gain is not None:
-            names[f"{prefix}.q_gain"] = self.q_gain
-            names[f"{prefix}.k_gain"] = self.k_gain
-        return names
+        fields = BLOCK_FIELDS + (QK_FIELDS if self.q_gain is not None else ())
+        return {f"{prefix}.{f}": getattr(self, f) for f in fields}
 
 
 @dataclass
@@ -114,14 +122,12 @@ class FixedModel:
     unembed: Tensor | None
     config: ModelConfig
 
+    def segments(self) -> tuple:
+        """(section name, blocks) pairs in forward order."""
+        return (("layers", self.blocks),)
+
     def params(self) -> dict:
-        out = {"embed": self.embed}
-        for i, bw in enumerate(self.blocks):
-            out.update(bw.named(f"layers.{i}"))
-        out["final_norm"] = self.final_norm
-        if self.unembed is not None:
-            out["unembed"] = self.unembed
-        return out
+        return _named_params(self)
 
 
 @dataclass
@@ -134,21 +140,32 @@ class RecurrentModel:
     final_norm: Tensor
     unembed: Tensor | None
     config: ModelConfig
-    plan_tuple: tuple = field(default=None)
+
+    @property
+    def plan_tuple(self) -> tuple:
+        return (len(self.prelude), len(self.recurrent), len(self.coda))
+
+    def segments(self) -> tuple:
+        """(section name, blocks) pairs in forward order."""
+        return (("prelude", self.prelude), ("recurrent", self.recurrent),
+                ("coda", self.coda))
 
     def params(self) -> dict:
-        out = {"embed": self.embed}
-        for i, bw in enumerate(self.prelude):
-            out.update(bw.named(f"prelude.{i}"))
-        out["adapter"] = self.adapter
-        for i, bw in enumerate(self.recurrent):
-            out.update(bw.named(f"recurrent.{i}"))
-        for i, bw in enumerate(self.coda):
-            out.update(bw.named(f"coda.{i}"))
-        out["final_norm"] = self.final_norm
-        if self.unembed is not None:
-            out["unembed"] = self.unembed
-        return out
+        return _named_params(self)
+
+
+def _named_params(model) -> dict:
+    """name -> Tensor of every weight, in the layout order."""
+    out = {"embed": model.embed}
+    for section, blocks in model.segments():
+        if section == "recurrent":
+            out["adapter"] = model.adapter
+        for i, bw in enumerate(blocks):
+            out.update(bw.named(f"{section}.{i}"))
+    out["final_norm"] = model.final_norm
+    if model.unembed is not None:
+        out["unembed"] = model.unembed
+    return out
 
 
 _ROPE_CACHE: dict = {}
@@ -204,6 +221,12 @@ def decoder_block(x: Tensor, bw: BlockWeights, cfg: ModelConfig) -> Tensor:
     return x
 
 
+def run_blocks(x: Tensor, blocks: list, cfg: ModelConfig) -> Tensor:
+    for bw in blocks:
+        x = decoder_block(x, bw, cfg)
+    return x
+
+
 def _check_tokens(tokens, cfg: ModelConfig) -> np.ndarray:
     tokens = np.asarray(tokens)
     if tokens.ndim == 1:
@@ -229,9 +252,7 @@ def forward_fixed(model: FixedModel, tokens) -> Tensor:
     """Embed -> L blocks -> final norm -> unembed, returns (B, n, vocab)."""
     tokens = _check_tokens(tokens, model.config)
     h = ag.embedding_lookup(model.embed, tokens)
-    for bw in model.blocks:
-        h = decoder_block(h, bw, model.config)
-    return _unembed_logits(h, model)
+    return _unembed_logits(run_blocks(h, model.blocks, model.config), model)
 
 
 def forward_fixed_hidden(model: FixedModel, tokens) -> list:
@@ -253,23 +274,17 @@ def sample_initial_state(cfg: ModelConfig, batch: int, n: int,
 
 
 def prelude_forward(model: RecurrentModel, tokens: np.ndarray) -> Tensor:
-    e = ag.embedding_lookup(model.embed, tokens)
-    for bw in model.prelude:
-        e = decoder_block(e, bw, model.config)
-    return e
+    return run_blocks(ag.embedding_lookup(model.embed, tokens), model.prelude,
+                      model.config)
 
 
 def recurrent_step(model: RecurrentModel, s: Tensor, e: Tensor) -> Tensor:
-    x = ag.matmul(ag.concat_last(s, e), model.adapter)
-    for bw in model.recurrent:
-        x = decoder_block(x, bw, model.config)
-    return x
+    return run_blocks(ag.matmul(ag.concat_last(s, e), model.adapter),
+                      model.recurrent, model.config)
 
 
 def _coda_logits(model: RecurrentModel, s: Tensor) -> Tensor:
-    for bw in model.coda:
-        s = decoder_block(s, bw, model.config)
-    return _unembed_logits(s, model)
+    return _unembed_logits(run_blocks(s, model.coda, model.config), model)
 
 
 def forward_recurrent(model: RecurrentModel, tokens, run: RecurrenceRun,
@@ -285,12 +300,11 @@ def forward_recurrent(model: RecurrentModel, tokens, run: RecurrenceRun,
     """
     tokens = _check_tokens(tokens, model.config)
     e = prelude_forward(model, tokens)
-    if initial_state is not None:
-        s = initial_state
-    else:
-        stream = run.s0_stream or RandomStream(0, "s0")
-        s = sample_initial_state(model.config, tokens.shape[0], tokens.shape[1],
-                                 stream, dtype=model.embed.dtype)
+    s = initial_state
+    if s is None:
+        s = sample_initial_state(model.config, *tokens.shape,
+                                 run.s0_stream or RandomStream(0, "s0"),
+                                 dtype=model.embed.dtype)
     with ag.no_record():
         for _ in range(run.detach_boundary):
             s = recurrent_step(model, s, e)
@@ -313,8 +327,8 @@ def recurrence_sweep(model: RecurrentModel, tokens, recurrences,
         raise ContractError(f"recurrence counts must be >= 1, got {wanted}")
     tokens = _check_tokens(tokens, model.config)
     e = prelude_forward(model, tokens)
-    s = sample_initial_state(model.config, tokens.shape[0], tokens.shape[1],
-                             s0_stream, dtype=model.embed.dtype)
+    s = sample_initial_state(model.config, *tokens.shape, s0_stream,
+                             dtype=model.embed.dtype)
     done = 0
     for r in wanted:
         for _ in range(r - done):
@@ -384,4 +398,4 @@ def init_recurrent(cfg: ModelConfig, plan_tuple: tuple, stream: RandomStream,
         stream.normal((cfg.hidden, cfg.vocab_size), 0.0, base, dtype=dtype))
     return RecurrentModel(embed, prelude, adapter, recurrent, coda,
                           Tensor(np.ones(cfg.hidden, dtype=dtype)), unembed,
-                          cfg, plan_tuple=(p, r, c))
+                          cfg)

@@ -52,26 +52,12 @@ def newton_schulz5(g: np.ndarray) -> np.ndarray:
     return x.T if transposed else x
 
 
-class _OptimizerBase:
-    def __init__(self, weight_decay: float = 1e-4):
-        self.weight_decay = weight_decay
-
-    def state_tensors(self) -> dict:
-        raise NotImplementedError
-
-    def load_state_tensors(self, tensors: dict) -> None:
-        raise NotImplementedError
-
-    def step(self, params: dict, grads: dict, lr: float) -> None:
-        raise NotImplementedError
-
-
-class AdamW(_OptimizerBase):
+class AdamW:
     """Bias-corrected AdamW with decoupled weight decay (lr-scaled)."""
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.95,
                  epsilon: float = 1e-8, weight_decay: float = 1e-4):
-        super().__init__(weight_decay)
+        self.weight_decay = weight_decay
         self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
         self.t = 0
         self.m: dict = {}
@@ -86,15 +72,17 @@ class AdamW(_OptimizerBase):
             self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
             self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g ** 2
 
-    def step(self, params, grads, lr):
+    def _corrected(self, params: dict, grads: dict):
+        """Update the moments; yield (param, m_hat, v_hat) per gradient."""
         self._moments(params, grads)
         bc1 = 1 - self.beta1 ** self.t
         bc2 = 1 - self.beta2 ** self.t
         for name, p in params.items():
-            if name not in grads:
-                continue
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
+            if name in grads:
+                yield p, self.m[name] / bc1, self.v[name] / bc2
+
+    def step(self, params, grads, lr):
+        for p, m_hat, v_hat in self._corrected(params, grads):
             update = m_hat / (np.sqrt(v_hat) + self.epsilon)
             new = p.data - lr * (update + self.weight_decay * p.data)
             p.data = new.astype(p.data.dtype, copy=False)
@@ -125,14 +113,7 @@ class AdamWStar(AdamW):
         self.clip_threshold = clip_threshold
 
     def step(self, params, grads, lr):
-        self._moments(params, grads)
-        bc1 = 1 - self.beta1 ** self.t
-        bc2 = 1 - self.beta2 ** self.t
-        for name, p in params.items():
-            if name not in grads:
-                continue
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
+        for p, m_hat, v_hat in self._corrected(params, grads):
             denom = np.sqrt(v_hat)
             update = np.where(denom > 0, m_hat / np.where(denom > 0, denom, 1.0),
                               0.0)
@@ -143,14 +124,14 @@ class AdamWStar(AdamW):
             p.data = new.astype(p.data.dtype, copy=False)
 
 
-class Muon(_OptimizerBase):
+class Muon:
     """Nesterov momentum + Newton-Schulz orthogonalization for 2D weights;
     embeddings/unembeddings and non-2D tensors fall back to AdamW."""
 
     def __init__(self, momentum: float = 0.95, weight_decay: float = 1e-4,
                  fallback: AdamW | None = None, fallback_lr_ratio: float = 1.0,
                  exclude_names: tuple = ("embed", "unembed")):
-        super().__init__(weight_decay)
+        self.weight_decay = weight_decay
         self.momentum = momentum
         self.buffers: dict = {}
         self.fallback = fallback or AdamW(weight_decay=weight_decay)
@@ -198,7 +179,7 @@ class Muon(_OptimizerBase):
             {k[3:]: v for k, v in tensors.items() if k.startswith("fb.")})
 
 
-def build_optimizer(name: str, hyper: dict | None = None) -> _OptimizerBase:
+def build_optimizer(name: str, hyper: dict | None = None) -> AdamW | Muon:
     hyper = dict(hyper or {})
     if name == "adamw":
         return AdamW(**hyper)

@@ -8,6 +8,10 @@ before the coda as the recurrent block; the layers in between are
 dropped. The adapter defaults to an identity-pass init (zero on the
 state half, identity on the injected half) so the fresh recurrent model
 at r=1 behaves like the pruned donor.
+
+Surgery, pruning and checkpoint loading copy blocks with `_copy_blocks`
+and write through `model_to_checkpoint`, so tensor names follow the
+model's layout; a missing tensor or metadata key is a `FormatError`.
 """
 
 from __future__ import annotations
@@ -20,12 +24,8 @@ from .autograd import Tensor
 from .checkpoint import Checkpoint
 from .errors import FormatError, PlanError
 from .model import (BlockWeights, FixedModel, ModelConfig, RecurrentModel,
-                    forward_fixed_hidden)
+                    block_fields, forward_fixed_hidden)
 from .random import RandomStream
-
-_BLOCK_FIELDS = ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down",
-                 "g_attn", "g_mlp")
-_QK_FIELDS = ("q_gain", "k_gain")
 
 
 @dataclass
@@ -142,65 +142,89 @@ def count_fixed_params(cfg: ModelConfig, depth: int) -> dict:
 
 
 def model_to_checkpoint(model, extra_metadata: dict | None = None) -> Checkpoint:
-    cfg = model.config
-    if isinstance(model, FixedModel):
-        meta = {"kind": "fixed", "config": cfg.to_dict(),
-                "depth": len(model.blocks)}
-    else:
-        meta = {"kind": "recurrent", "config": cfg.to_dict(),
-                "plan_tuple": list(model.plan_tuple or
-                                   (len(model.prelude), len(model.recurrent),
-                                    len(model.coda)))}
-    if extra_metadata:
-        meta.update(extra_metadata)
+    meta = ({"kind": "fixed", "depth": len(model.blocks)}
+            if isinstance(model, FixedModel) else
+            {"kind": "recurrent", "plan_tuple": list(model.plan_tuple)})
+    meta = {**meta, "config": model.config.to_dict(), **(extra_metadata or {})}
     return Checkpoint(metadata=meta,
                       tensors={k: v.data for k, v in model.params().items()})
 
 
-def _block_from_tensors(tensors: dict, prefix: str, cfg: ModelConfig,
-                        dtype) -> BlockWeights:
-    fields = _BLOCK_FIELDS + (_QK_FIELDS if cfg.qk_norm else ())
-    values = {}
-    for f in fields:
-        key = f"{prefix}.{f}"
-        if key not in tensors:
-            raise FormatError(f"checkpoint missing tensor {key}")
-        values[f] = Tensor(np.asarray(tensors[key], dtype=dtype))
-    return BlockWeights(**values)
+def _meta(meta: dict, key: str):
+    if key not in meta:
+        raise FormatError(f"checkpoint metadata lacks {key!r}")
+    return meta[key]
+
+
+def _model_config(meta: dict) -> ModelConfig:
+    try:
+        return ModelConfig.from_dict(_meta(meta, "config"))
+    except TypeError as exc:
+        raise FormatError(f"checkpoint config: {exc}") from exc
+
+
+def _tensor(tensors: dict, name: str, dtype=None) -> Tensor:
+    if name not in tensors:
+        raise FormatError(f"checkpoint missing tensor {name}")
+    return Tensor(np.asarray(tensors[name], dtype=dtype))
+
+
+def _copy_blocks(tensors: dict, sections, cfg: ModelConfig, dtype=None) -> list:
+    """One list of BlockWeights per section; a section lists the tensor
+    name prefixes of its blocks, in order."""
+    return [[BlockWeights(**{f: _tensor(tensors, f"{prefix}.{f}", dtype)
+                             for f in block_fields(cfg)})
+             for prefix in prefixes] for prefixes in sections]
+
+
+def _build(tensors: dict, cfg: ModelConfig, sections, adapter=None,
+           dtype=None):
+    """FixedModel from one section, or RecurrentModel from three (prelude,
+    recurrent, coda) around `adapter`; other weights come from `tensors`."""
+    embed = _tensor(tensors, "embed", dtype)
+    final_norm = _tensor(tensors, "final_norm", dtype)
+    unembed = None if cfg.tie_embeddings else _tensor(tensors, "unembed", dtype)
+    blocks = _copy_blocks(tensors, sections, cfg, dtype)
+    if adapter is None:
+        return FixedModel(embed, *blocks, final_norm, unembed, cfg)
+    prelude, recurrent, coda = blocks
+    return RecurrentModel(embed, prelude, adapter, recurrent, coda, final_norm,
+                          unembed, cfg)
+
+
+def _layer_prefixes(*layer_lists) -> list:
+    return [[f"layers.{i}" for i in layers] for layers in layer_lists]
 
 
 def model_from_checkpoint(ckpt: Checkpoint, dtype=None):
     """Rebuild a FixedModel or RecurrentModel from a checkpoint."""
     meta = ckpt.metadata
-    cfg = ModelConfig.from_dict(meta["config"])
+    cfg = _model_config(meta)
     t = ckpt.tensors
     if dtype is None:
-        dtype = t["embed"].dtype
-
-    def grab(name):
-        if name not in t:
-            raise FormatError(f"checkpoint missing tensor {name}")
-        return Tensor(np.asarray(t[name], dtype=dtype))
-
-    unembed = None if cfg.tie_embeddings else grab("unembed")
-    if meta["kind"] == "fixed":
-        blocks = [_block_from_tensors(t, f"layers.{i}", cfg, dtype)
-                  for i in range(meta["depth"])]
-        return FixedModel(grab("embed"), blocks, grab("final_norm"), unembed, cfg)
-    if meta["kind"] == "recurrent":
-        p, r, c = meta["plan_tuple"]
-        return RecurrentModel(
-            grab("embed"),
-            [_block_from_tensors(t, f"prelude.{i}", cfg, dtype) for i in range(p)],
-            grab("adapter"),
-            [_block_from_tensors(t, f"recurrent.{i}", cfg, dtype) for i in range(r)],
-            [_block_from_tensors(t, f"coda.{i}", cfg, dtype) for i in range(c)],
-            grab("final_norm"), unembed, cfg, plan_tuple=(p, r, c))
-    raise FormatError(f"unknown checkpoint kind {meta['kind']!r}")
+        dtype = _tensor(t, "embed").dtype
+    kind = _meta(meta, "kind")
+    if kind == "fixed":
+        return _build(t, cfg, _layer_prefixes(range(_meta(meta, "depth"))),
+                      dtype=dtype)
+    if kind == "recurrent":
+        plan = _meta(meta, "plan_tuple")
+        if not (isinstance(plan, list) and len(plan) == 3):
+            raise FormatError(f"checkpoint plan_tuple {plan!r} is not [p, r, c]")
+        sections = [[f"{name}.{i}" for i in range(n)] for name, n in
+                    zip(("prelude", "recurrent", "coda"), plan)]
+        return _build(t, cfg, sections, _tensor(t, "adapter", dtype), dtype)
+    raise FormatError(f"unknown checkpoint kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # surgery proper
+
+
+def _donor_config(donor: Checkpoint) -> ModelConfig:
+    if donor.metadata.get("kind") != "fixed":
+        raise FormatError("surgery donor must be a fixed-depth checkpoint")
+    return _model_config(donor.metadata)
 
 
 def apply_surgery(donor: Checkpoint, plan: SurgeryPlan,
@@ -212,30 +236,13 @@ def apply_surgery(donor: Checkpoint, plan: SurgeryPlan,
     Selected blocks, embeddings, and the final norm are copied verbatim;
     only the adapter is new.
     """
-    meta = donor.metadata
-    if meta.get("kind") != "fixed":
-        raise FormatError("surgery donor must be a fixed-depth checkpoint")
-    cfg = ModelConfig.from_dict(meta["config"])
-    if meta["depth"] != plan.donor_depth:
+    cfg = _donor_config(donor)
+    depth = _meta(donor.metadata, "depth")
+    if depth != plan.donor_depth:
         raise FormatError(f"plan expects donor depth {plan.donor_depth}, "
-                          f"checkpoint has {meta['depth']}")
-    fields = _BLOCK_FIELDS + (_QK_FIELDS if cfg.qk_norm else ())
-    tensors = {}
-    for name in ("embed", "final_norm") + (() if cfg.tie_embeddings else ("unembed",)):
-        if name not in donor.tensors:
-            raise FormatError(f"donor missing tensor {name}")
-        tensors[name] = donor.tensors[name]
-    for section, indices in (("prelude", plan.prelude_layers),
-                             ("recurrent", plan.recurrent_layers),
-                             ("coda", plan.coda_layers)):
-        for k, donor_idx in enumerate(indices):
-            for f in fields:
-                src = f"layers.{donor_idx}.{f}"
-                if src not in donor.tensors:
-                    raise FormatError(f"donor missing tensor {src}")
-                tensors[f"{section}.{k}.{f}"] = donor.tensors[src]
+                          f"checkpoint has {depth}")
     h = cfg.hidden
-    dtype = tensors["embed"].dtype
+    dtype = _tensor(donor.tensors, "embed").dtype
     if adapter_init == "identity-pass":
         adapter = np.zeros((2 * h, h), dtype=dtype)
         adapter[h:, :] = np.eye(h, dtype=dtype)
@@ -251,32 +258,19 @@ def apply_surgery(donor: Checkpoint, plan: SurgeryPlan,
         adapter = stream.normal((2 * h, h), 0.0, base, dtype=dtype)
     else:
         raise ValueError(f"unknown adapter init {adapter_init!r}")
-    tensors["adapter"] = adapter
-    return Checkpoint(metadata={"kind": "recurrent", "config": cfg.to_dict(),
-                                "plan_tuple": list(plan.tuple),
-                                "plan": plan.to_dict(),
-                                "surgery": {"adapter_init": adapter_init,
-                                            "noise_std": noise_std}},
-                      tensors=tensors)
+    sections = _layer_prefixes(plan.prelude_layers, plan.recurrent_layers,
+                               plan.coda_layers)
+    model = _build(donor.tensors, cfg, sections, Tensor(adapter))
+    return model_to_checkpoint(model, extra_metadata={
+        "plan": plan.to_dict(),
+        "surgery": {"adapter_init": adapter_init, "noise_std": noise_std}})
 
 
 def pruned_donor(donor: Checkpoint, plan: SurgeryPlan) -> Checkpoint:
     """Fixed-depth checkpoint keeping only the plan's layers, in plan order."""
-    meta = donor.metadata
-    if meta.get("kind") != "fixed":
-        raise FormatError("expected a fixed-depth checkpoint")
-    cfg = ModelConfig.from_dict(meta["config"])
     kept = plan.prelude_layers + plan.recurrent_layers + plan.coda_layers
-    fields = _BLOCK_FIELDS + (_QK_FIELDS if cfg.qk_norm else ())
-    tensors = {}
-    for name in ("embed", "final_norm") + (() if cfg.tie_embeddings else ("unembed",)):
-        tensors[name] = donor.tensors[name]
-    for k, donor_idx in enumerate(kept):
-        for f in fields:
-            tensors[f"layers.{k}.{f}"] = donor.tensors[f"layers.{donor_idx}.{f}"]
-    return Checkpoint(metadata={"kind": "fixed", "config": cfg.to_dict(),
-                                "depth": len(kept)},
-                      tensors=tensors)
+    return model_to_checkpoint(_build(donor.tensors, _donor_config(donor),
+                                      _layer_prefixes(kept)))
 
 
 def block_influence_scores(model: FixedModel, calibration_tokens) -> list:

@@ -10,6 +10,9 @@ repeated events abort the run.
 
 Everything random is keyed by (seed, purpose, step), so reruns are
 byte-identical and resuming from a checkpoint continues bit-exactly.
+
+The model kind and plan come from the built model; the config's
+`model_kind` and `plan_tuple` only steer `build_initial_model`.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from .checkpoint import Checkpoint
 from .data import step_batch, validate_phases
 from .errors import DivergenceError, NonFiniteError
 from .flops import FlopMeter
-from .model import (RecurrenceRun, forward_fixed, forward_recurrent,
-                    init_fixed, init_recurrent)
+from .model import (FixedModel, RecurrenceRun, forward_fixed,
+                    forward_recurrent, init_fixed, init_recurrent)
 from .optim import build_optimizer, clip_global_norm
 from .random import RandomStream
 from .schedules import (DepthDistribution, curriculum_mean, lr_at,
@@ -72,9 +75,9 @@ def _save_checkpoint(path, model, optimizer, step, tokens_seen, flops):
     ckpt.save(path)
 
 
-def _micro_loss_and_grads(model, cfg: RunConfig, inputs, targets, run):
+def _micro_loss_and_grads(model, inputs, targets, run):
     with Tape() as tape:
-        if cfg.model_kind == "fixed":
+        if isinstance(model, FixedModel):
             logits = forward_fixed(model, inputs)
         else:
             logits = forward_recurrent(model, inputs, run)
@@ -107,13 +110,11 @@ def train(cfg: RunConfig, resume_from: str | None = None) -> dict:
     else:
         model = build_initial_model(cfg)
 
-    if cfg.model_kind == "fixed":
-        depth = (len(model.blocks))
-        fixed_n = count_fixed_params(model.config, depth)["body"]
-        report = None
+    fixed = isinstance(model, FixedModel)
+    if fixed:
+        fixed_n = count_fixed_params(model.config, len(model.blocks))["body"]
     else:
-        report = count_parameters(model.config, tuple(cfg.plan_tuple))
-        fixed_n = None
+        report = count_parameters(model.config, model.plan_tuple)
 
     params = model.params()
     context = model.config.context_length
@@ -133,7 +134,7 @@ def train(cfg: RunConfig, resume_from: str | None = None) -> dict:
                 mean_r = curriculum_mean(cfg.curriculum, step)
                 window = window_at(cfg.window, step)
                 lr = lr_at(cfg.lr, step)
-                if cfg.model_kind == "fixed":
+                if fixed:
                     sampled_r = 1
                 else:
                     sampled_r = sample_recurrence(
@@ -148,7 +149,7 @@ def train(cfg: RunConfig, resume_from: str | None = None) -> dict:
                     run = RecurrenceRun(sampled_r, window,
                                         RandomStream(cfg.seed, f"s0/{step}/{m}"))
                     loss_val, grad_map = _micro_loss_and_grads(
-                        model, cfg, inputs[sl], targets[sl], run)
+                        model, inputs[sl], targets[sl], run)
                     loss_sum += loss_val
                     for name, p in params.items():
                         g = grad_map.get(p)
@@ -167,7 +168,7 @@ def train(cfg: RunConfig, resume_from: str | None = None) -> dict:
                         nonfinite = True
                 tokens = cfg.global_batch * context
                 tokens_seen += tokens
-                if cfg.model_kind == "fixed":
+                if fixed:
                     meter.add_fixed(fixed_n, tokens)
                 else:
                     meter.add_recurrent(report, mean_r, window, tokens)

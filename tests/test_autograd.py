@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from recurfit import autograd as ag
 from recurfit.autograd import Tape, Tensor
-from recurfit.errors import ContractError, ShapeError
+from recurfit.errors import ContractError, InputError, ShapeError
 from recurfit.random import RandomStream
 
 
@@ -251,3 +251,19 @@ def test_check_finite_toggle():
         assert np.isinf(out.data).all()
     finally:
         ag.set_check_finite(previous)
+
+
+def test_zero_logits_cross_entropy_is_log_vocab():
+    loss = ag.cross_entropy_mean(np.zeros((1, 3, 5)), np.array([[0, 4, 2]]))
+    assert loss.item() == pytest.approx(np.log(5))
+
+
+@pytest.mark.parametrize("bad", [5, 7, -1])
+def test_cross_entropy_target_out_of_range(bad):
+    with pytest.raises(InputError, match="range"):
+        ag.cross_entropy_mean(np.zeros((1, 3, 5)), np.array([[0, bad, 2]]))
+
+
+def test_cross_entropy_float_targets():
+    with pytest.raises(InputError, match="integers"):
+        ag.cross_entropy_mean(np.zeros((1, 2, 5)), np.array([[0.0, 1.0]]))

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 
 import pytest
 
@@ -165,6 +166,19 @@ def test_exit_code_format_error(tmp_path, donor_ckpt, capsys):
     short = tmp_path / "short.rfck"
     short.write_bytes(b"RFCK12")
     assert main(["eval", "--checkpoint", str(short)]) == EXIT_FORMAT
+
+
+def test_exit_code_bad_directory_entry(tmp_path, donor_ckpt, capsys):
+    blob = donor_ckpt.read_bytes()
+    header_len = struct.unpack("<Q", blob[8:16])[0]
+    header = json.loads(blob[16:16 + header_len])
+    del header["tensors"]["embed"]["offset"]
+    raw = json.dumps(header).encode()
+    bad = tmp_path / "bad.rfck"
+    bad.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw
+                    + blob[16 + header_len:])
+    assert main(["eval", "--checkpoint", str(bad)]) == EXIT_FORMAT
+    assert "embed" in capsys.readouterr().err
 
 
 def test_exit_code_data_error(tmp_path, donor_ckpt, capsys):

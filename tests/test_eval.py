@@ -111,6 +111,14 @@ def test_fixed_model_sweep_and_val_loss_equal_oracle():
     assert val_loss(donor, "copy", r=1, n_items=8) == loss
 
 
+def test_fixed_model_sweep_rejects_r0():
+    donor = init_fixed(CFG, 2, RandomStream(3, "init"))
+    with pytest.raises(ContractError):
+        eval_sweep(donor, "plain", [0, 1], n_items=4)
+    with pytest.raises(ContractError):
+        val_loss(donor, "plain", r=0, n_items=4)
+
+
 def test_val_loss_equals_per_r_oracle():
     model = fresh_recurrent()
     for r in (1, 3):

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from recurfit.checkpoint import Checkpoint
 from recurfit.errors import FormatError, PlanError
 from recurfit.model import (ModelConfig, RecurrenceRun, forward_fixed,
-                            forward_recurrent, init_fixed)
+                            forward_recurrent, init_fixed, init_recurrent)
 from recurfit.random import RandomStream
 from recurfit.surgery import (apply_surgery, block_influence_scores,
                               count_fixed_params, count_parameters, make_plan,
@@ -309,3 +310,135 @@ def test_dropping_low_influence_layers_degrades_less():
         return val_loss(sub, "arithmetic", r=1)
 
     assert loss_after_drop(lowest) < loss_after_drop(random_drop)
+
+
+# ---------------------------------------------------------------------------
+# malformed checkpoints stay inside the error taxonomy
+
+
+def write_raw_checkpoint(path, directory, payload=b"\x00" * 16):
+    header = json.dumps({"metadata": {}, "tensors": directory}).encode()
+    path.write_bytes(b"RFCK" + struct.pack("<IQ", 1, len(header)) + header
+                     + payload)
+
+
+GOOD_ENTRY = {"shape": [2], "dtype": "<f8", "offset": 0, "nbytes": 16}
+
+
+@pytest.mark.parametrize("directory", [
+    {"x": {k: v for k, v in GOOD_ENTRY.items() if k != "offset"}},
+    {"x": dict(GOOD_ENTRY, dtype="zzz")},
+    {"x": dict(GOOD_ENTRY, shape=[3])},
+    {"x": dict(GOOD_ENTRY, shape=[1], nbytes=12)},
+    {"x": [0, 16]},
+    [GOOD_ENTRY],
+], ids=["no-offset", "unknown-dtype", "shape-vs-nbytes", "partial-item",
+        "entry-is-list", "directory-is-list"])
+def test_checkpoint_bad_directory_entry(tmp_path, directory):
+    path = tmp_path / "bad.rfck"
+    write_raw_checkpoint(path, {"x": GOOD_ENTRY})
+    assert Checkpoint.load(path).tensors["x"].shape == (2,)
+    write_raw_checkpoint(path, directory)
+    with pytest.raises(FormatError):
+        Checkpoint.load(path)
+
+
+def _drop(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+@pytest.mark.parametrize("kind,edit", [
+    ("fixed", lambda m: _drop(m, "config")),
+    ("fixed", lambda m: _drop(m, "kind")),
+    ("fixed", lambda m: _drop(m, "depth")),
+    ("recurrent", lambda m: _drop(m, "plan_tuple")),
+    ("recurrent", lambda m: dict(m, plan_tuple=[1, 2, 1, 1])),
+    ("fixed", lambda m: dict(m, config=dict(m["config"], hiden=16))),
+], ids=["no-config", "no-kind", "no-depth", "no-plan-tuple", "long-plan-tuple",
+        "unknown-key"])
+def test_checkpoint_bad_metadata(toy_donor, kind, edit):
+    ckpt = toy_donor
+    if kind == "recurrent":
+        ckpt = apply_surgery(toy_donor, make_plan((1, 2, 1), 6),
+                             "identity-pass", noise_std=0.0)
+    model_from_checkpoint(ckpt)
+    with pytest.raises(FormatError):
+        model_from_checkpoint(Checkpoint(edit(ckpt.metadata), ckpt.tensors))
+
+
+def test_pruned_donor_missing_tensor(toy_donor):
+    tensors = _drop(toy_donor.tensors, "layers.3.wq")
+    with pytest.raises(FormatError, match="layers.3.wq"):
+        pruned_donor(Checkpoint(toy_donor.metadata, tensors),
+                     make_plan((1, 2, 1), 6))
+
+
+# ---------------------------------------------------------------------------
+# parameter layout
+
+
+TOY = dict(vocab_size=23, hidden=16, n_query_heads=2, n_kv_heads=1,
+           head_dim=8, ffn_width=16, context_length=16)
+FIELDS = ["wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down", "g_attn",
+          "g_mlp"]
+
+
+def expected_layout(cfg, sections):
+    fields = FIELDS + (["q_gain", "k_gain"] if cfg.qk_norm else [])
+    names = ["embed"]
+    for section, count in sections:
+        if section == "recurrent":
+            names.append("adapter")
+        names += [f"{section}.{i}.{f}" for i in range(count) for f in fields]
+    names.append("final_norm")
+    if not cfg.tie_embeddings:
+        names.append("unembed")
+    return names
+
+
+@pytest.mark.parametrize("variant", [{}, {"qk_norm": True},
+                                     {"tie_embeddings": True}],
+                         ids=["plain", "qk-norm", "tied"])
+@pytest.mark.parametrize("kind", ["fixed", "recurrent"])
+def test_layout_roundtrip(tmp_path, kind, variant):
+    cfg = ModelConfig(**TOY, **variant)
+    if kind == "fixed":
+        model = init_fixed(cfg, 3, RandomStream(0, "init"))
+        sections = [("layers", 3)]
+    else:
+        model = init_recurrent(cfg, (1, 2, 1), RandomStream(0, "init"))
+        sections = [("prelude", 1), ("recurrent", 2), ("coda", 1)]
+    names = list(model.params())
+    assert names == expected_layout(cfg, sections)
+    ckpt = model_to_checkpoint(model)
+    assert list(ckpt.tensors) == names
+    ckpt.save(tmp_path / "m.rfck")
+    loaded = Checkpoint.load(tmp_path / "m.rfck")
+    assert sorted(loaded.tensors) == sorted(names)
+    rebuilt = model_from_checkpoint(loaded).params()
+    assert list(rebuilt) == names
+    for name, p in model.params().items():
+        assert rebuilt[name].data.dtype == p.data.dtype
+        assert rebuilt[name].data.tobytes() == p.data.tobytes()
+
+
+def test_surgery_and_pruning_copy_qk_gains_bitwise():
+    cfg = ModelConfig(**TOY, qk_norm=True)
+    donor_model = init_fixed(cfg, 6, RandomStream(0, "donor"))
+    for i, bw in enumerate(donor_model.blocks):  # distinct gains per layer
+        stream = RandomStream(i, "gains")
+        bw.q_gain.data = stream.normal(bw.q_gain.shape, 1.0, 0.1)
+        bw.k_gain.data = stream.normal(bw.k_gain.shape, 1.0, 0.1)
+    donor = model_to_checkpoint(donor_model)
+    plan = make_plan((1, 2, 1), 6)
+    surgical = apply_surgery(donor, plan, "identity-pass", noise_std=0.0)
+    pruned = pruned_donor(donor, plan)
+    kept = plan.prelude_layers + plan.recurrent_layers + plan.coda_layers
+    targets = ([f"prelude.{k}" for k in range(1)]
+               + [f"recurrent.{k}" for k in range(2)]
+               + [f"coda.{k}" for k in range(1)])
+    for k, (src, dst) in enumerate(zip(kept, targets)):
+        for f in ("q_gain", "k_gain"):
+            want = donor.tensors[f"layers.{src}.{f}"].tobytes()
+            assert surgical.tensors[f"{dst}.{f}"].tobytes() == want
+            assert pruned.tensors[f"layers.{k}.{f}"].tobytes() == want

@@ -12,8 +12,12 @@ from recurfit.checkpoint import Checkpoint
 from recurfit.config import RunConfig
 from recurfit.errors import DivergenceError
 from recurfit.evaluate import val_loss
-from recurfit.model import ModelConfig
+from recurfit.flops import flops_fixed, flops_for_step
+from recurfit.model import ModelConfig, init_fixed
+from recurfit.random import RandomStream
 from recurfit.schedules import CurriculumSpec, WindowSchedule, WsdSpec
+from recurfit.surgery import (apply_surgery, count_fixed_params,
+                              count_parameters, make_plan, model_to_checkpoint)
 from recurfit.train import METRIC_COLUMNS, build_initial_model, train
 
 
@@ -213,3 +217,43 @@ def test_copy_task_from_scratch_learns(tmp_path):
     from recurfit.surgery import model_from_checkpoint
     after = val_loss(model_from_checkpoint(ckpt), "copy", r=4)
     assert after <= 0.8 * before, (before, after)
+
+
+# ---------------------------------------------------------------------------
+# the model decides kind and plan
+
+
+FLOP_CFG = ModelConfig(vocab_size=257, hidden=16, n_query_heads=2,
+                       n_kv_heads=1, head_dim=8, ffn_width=16,
+                       context_length=16)
+
+
+def one_step_from(init_path, out_dir):
+    """One step of batch 2x16 at target 4, w=8, default config plan."""
+    run = RunConfig(model=FLOP_CFG, total_steps=1, out_dir=str(out_dir),
+                    init_checkpoint=str(init_path),
+                    curriculum=CurriculumSpec(shape="constant", target=4),
+                    window=WindowSchedule(shape="constant", target=8),
+                    micro_batch=2, global_batch=2)
+    assert run.model_kind == "recurrent" and run.plan_tuple == [1, 2, 1]
+    return read_metrics(train(run)["metrics"])[-1]
+
+
+def test_flops_follow_the_checkpoint_plan(tmp_path):
+    donor = model_to_checkpoint(init_fixed(FLOP_CFG, 6, RandomStream(0, "init")))
+    init = tmp_path / "cut.rfck"
+    apply_surgery(donor, make_plan((2, 2, 2), 6), "identity-pass",
+                  noise_std=0.0).save(init)
+    row = one_step_from(init, tmp_path / "run")
+    expected = flops_for_step(count_parameters(FLOP_CFG, (2, 2, 2)), 4, 8, 32)
+    assert expected == 4005888
+    assert float(row[7]) == expected
+
+
+def test_fixed_init_checkpoint_trains_as_fixed(tmp_path):
+    init = tmp_path / "donor.rfck"
+    model_to_checkpoint(init_fixed(FLOP_CFG, 3, RandomStream(0, "init"))).save(init)
+    row = one_step_from(init, tmp_path / "run")
+    assert int(row[4]) == 1  # sampled_r
+    body = count_fixed_params(FLOP_CFG, 3)["body"]
+    assert float(row[7]) == flops_fixed(body, 32)
