@@ -32,13 +32,12 @@ def set_check_finite(enabled: bool) -> bool:
 class Tensor:
     """Immutable dense array, optionally recorded on the active tape."""
 
-    __slots__ = ("data", "parents", "backward_fn", "detached")
+    __slots__ = ("data", "parents", "backward_fn")
 
-    def __init__(self, data, dtype=None, detached=False):
+    def __init__(self, data, dtype=None):
         self.data = np.asarray(data, dtype=dtype)
         self.parents: tuple = ()
         self.backward_fn = None
-        self.detached = detached
 
     @property
     def shape(self):
@@ -54,17 +53,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        """Value-identical tensor with no tape parents."""
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.parents = ()
-        out.backward_fn = None
-        out.detached = True
-        if _ACTIVE_TAPE is not None:
-            _ACTIVE_TAPE.nodes.append(out)
-        return out
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
@@ -136,7 +124,6 @@ def _make(data: np.ndarray, parents, backward_fn) -> Tensor:
         raise NonFiniteError("op produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.detached = False
     if _ACTIVE_TAPE is not None:
         out.parents = tuple(parents)
         out.backward_fn = backward_fn

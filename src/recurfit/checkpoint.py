@@ -4,14 +4,16 @@ Layout: 4-byte magic ``RFCK``, u32 format version, u64 header length,
 UTF-8 JSON header, then a raw little-endian payload. The header carries
 run metadata plus a tensor directory of (shape, dtype, offset, nbytes)
 entries with offsets relative to the payload start. Round trips are
-bit-exact.
+bit-exact, and a save replaces the target file only once it is complete.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -44,12 +46,14 @@ class Checkpoint:
                              "metadata": self.metadata,
                              "tensors": directory},
                             sort_keys=True).encode()
-        with open(path, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<IQ", FORMAT_VERSION, len(header)))
-            f.write(header)
-            for raw in chunks:
-                f.write(raw)
+        preamble = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header))
+        tmp = Path(f"{path}.tmp")
+        try:
+            with open(tmp, "wb") as f:
+                f.writelines([preamble, header, *chunks])
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     @classmethod
     def load(cls, path) -> "Checkpoint":

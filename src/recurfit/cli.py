@@ -28,8 +28,8 @@ from .flops import flops_fixed, flops_for_step, recurrent_split
 from .random import RandomStream
 from .schedules import curriculum_mean, lr_at, window_at
 from .surgery import (apply_surgery, block_influence_scores,
-                      count_fixed_params, count_parameters, make_plan,
-                      model_from_checkpoint)
+                      count_fixed_params, count_parameters, donor_depth,
+                      make_plan, model_from_checkpoint)
 from .train import train
 
 EXIT_OK = 0
@@ -43,8 +43,15 @@ def _out_root() -> Path:
     return Path(os.environ.get("RECURFIT_OUT_ROOT", "."))
 
 
+def _int_list(text: str) -> list:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"expected integers, got {text!r}") from None
+
+
 def _parse_tuple(text: str) -> tuple:
-    parts = [int(x) for x in text.split(",")]
+    parts = _int_list(text)
     if len(parts) != 3:
         raise ConfigError(f"expected p,r,c tuple, got {text!r}")
     return tuple(parts)
@@ -52,7 +59,7 @@ def _parse_tuple(text: str) -> tuple:
 
 def cmd_surgery(args) -> int:
     donor = Checkpoint.load(args.donor)
-    plan = make_plan(_parse_tuple(args.plan_tuple), donor.metadata["depth"])
+    plan = make_plan(_parse_tuple(args.plan_tuple), donor_depth(donor))
     result = apply_surgery(donor, plan, args.adapter_init,
                            RandomStream(args.seed, "adapter"), args.noise_std)
     out = _out_root() / args.out
@@ -73,8 +80,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = model_from_checkpoint(Checkpoint.load(args.checkpoint))
-    recurrences = ([int(x) for x in args.recurrences.split(",")]
-                   if args.recurrences else DEFAULT_RECURRENCES)
+    recurrences = (_int_list(args.recurrences) if args.recurrences
+                   else DEFAULT_RECURRENCES)
     result = eval_sweep(model, args.dataset, recurrences,
                         s0_seed=args.s0_seed, n_items=args.items,
                         data_seed=args.data_seed)

@@ -12,9 +12,12 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .model import ModelConfig
+from .optim import build_optimizer
+from .random import RandomStream
 from .schedules import CurriculumSpec, WindowSchedule, WsdSpec
+from .surgery import adapter_weights
 
 
 @dataclass
@@ -57,15 +60,14 @@ class RunConfig:
         if not self.phases:
             self.phases = [{"datasets": ["plain"], "weights": [1.0],
                             "start": 0, "end": self.total_steps}]
+        try:
+            build_optimizer(self.optimizer, self.optimizer_hyper)
+            adapter_weights(self.adapter_init, 1, 1, "float64", RandomStream(0))
+        except (ContractError, TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
-        def conv(v):
-            if dataclasses.is_dataclass(v):
-                return {f.name: conv(getattr(v, f.name))
-                        for f in dataclasses.fields(v)}
-            return v
-        return {f.name: conv(getattr(self, f.name))
-                for f in dataclasses.fields(self)}
+        return dataclasses.asdict(self)
 
 
 _NESTED = {"model": ModelConfig, "curriculum": CurriculumSpec,

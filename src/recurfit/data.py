@@ -49,10 +49,6 @@ def generate_document(dataset_id: str, stream: RandomStream) -> bytes:
     raise InputError(f"unknown dataset id {dataset_id!r}")
 
 
-def tokenize(doc: bytes) -> list:
-    return list(doc)
-
-
 def pack_corpus(documents, context_length: int = 1024):
     """Concatenate documents with a separator and emit fixed-size contexts.
 
@@ -64,7 +60,7 @@ def pack_corpus(documents, context_length: int = 1024):
     any_doc = False
     for doc in documents:
         any_doc = True
-        buffer.extend(tokenize(doc))
+        buffer.extend(doc)
         buffer.append(SEP_TOKEN)
         while len(buffer) >= context_length + 1:
             chunk = np.asarray(buffer[:context_length + 1], dtype=np.int64)
@@ -76,13 +72,10 @@ def pack_corpus(documents, context_length: int = 1024):
 
 def sample_context(dataset_id: str, stream: RandomStream,
                    context_length: int) -> tuple:
-    """One (inputs, targets) pair built from fresh documents."""
-    tokens: list = []
-    while len(tokens) < context_length + 1:
-        tokens.extend(tokenize(generate_document(dataset_id, stream)))
-        tokens.append(SEP_TOKEN)
-    chunk = np.asarray(tokens[:context_length + 1], dtype=np.int64)
-    return chunk[:-1], chunk[1:]
+    """The first (inputs, targets) pair `pack_corpus` packs from an
+    endless stream of fresh documents."""
+    documents = iter(lambda: generate_document(dataset_id, stream), None)
+    return next(pack_corpus(documents, context_length))
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +87,9 @@ def validate_phases(phases: list, total_steps: int) -> None:
         raise ContractError("at least one phase is required")
     expected_start = 0
     for ph in phases:
+        missing = {"datasets", "weights", "start", "end"} - set(ph)
+        if missing:
+            raise ContractError(f"phase lacks {sorted(missing)}")
         if ph["start"] != expected_start:
             raise ContractError("phase step ranges must partition the run")
         if ph["end"] <= ph["start"]:

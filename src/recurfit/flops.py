@@ -10,7 +10,7 @@ the per-step formula, the meter and the CLI report all read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .surgery import ParamReport
 
@@ -46,12 +46,10 @@ def flops_for_step(report: ParamReport, mean_r: float, window: int,
 @dataclass
 class FlopMeter:
     cumulative: float = 0.0
-    steps: list = field(default_factory=list)  # (n1, n2, tokens) per step
 
     def _add(self, n1, n2, tokens: int) -> float:
         value = _train_flops(n1, n2, tokens)
         self.cumulative += value
-        self.steps.append((n1, n2, tokens))
         return value
 
     def add_recurrent(self, report: ParamReport, mean_r: float, window: int,

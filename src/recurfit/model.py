@@ -363,39 +363,38 @@ def _init_block(cfg: ModelConfig, stream: RandomStream, effective_depth: int,
     return bw
 
 
-def init_fixed(cfg: ModelConfig, depth: int, stream: RandomStream,
-               emb_scale: float = 1.0, dtype=np.float64) -> FixedModel:
-    """Depth-scaled normal init for the fixed-depth baseline."""
+def _init_model(cfg: ModelConfig, counts: tuple, recurrent: bool,
+                stream: RandomStream, emb_scale: float, dtype):
+    """Depth-scaled normal init drawn in layout order: embed, the adapter
+    (recurrent models), one block list per count, unembed."""
     if emb_scale <= 0:
         raise ContractError("emb_scale must be > 0")
-    base = np.sqrt(2.0 / (5.0 * cfg.hidden))
-    embed = Tensor(stream.normal((cfg.vocab_size, cfg.hidden), 0.0,
-                                 base * emb_scale, dtype=dtype))
-    blocks = [_init_block(cfg, stream, depth, dtype) for _ in range(depth)]
-    unembed = None if cfg.tie_embeddings else Tensor(
-        stream.normal((cfg.hidden, cfg.vocab_size), 0.0, base, dtype=dtype))
-    return FixedModel(embed, blocks, Tensor(np.ones(cfg.hidden, dtype=dtype)),
-                      unembed, cfg)
-
-
-def init_recurrent(cfg: ModelConfig, plan_tuple: tuple, stream: RandomStream,
-                   emb_scale: float = 1.0, dtype=np.float64) -> RecurrentModel:
-    """From-scratch recurrent model with the same depth-scaled init."""
-    if emb_scale <= 0:
-        raise ContractError("emb_scale must be > 0")
-    p, r, c = plan_tuple
-    depth = p + r + c
+    depth = sum(counts)
     base = np.sqrt(2.0 / (5.0 * cfg.hidden))
     embed = Tensor(stream.normal((cfg.vocab_size, cfg.hidden), 0.0,
                                  base * emb_scale, dtype=dtype))
     adapter = Tensor(stream.normal((2 * cfg.hidden, cfg.hidden), 0.0,
                                    base * (1.0 / np.sqrt(2.0 * max(depth, 1))),
-                                   dtype=dtype))
-    prelude = [_init_block(cfg, stream, depth, dtype) for _ in range(p)]
-    recurrent = [_init_block(cfg, stream, depth, dtype) for _ in range(r)]
-    coda = [_init_block(cfg, stream, depth, dtype) for _ in range(c)]
+                                   dtype=dtype)) if recurrent else None
+    blocks = [[_init_block(cfg, stream, depth, dtype) for _ in range(n)]
+              for n in counts]
     unembed = None if cfg.tie_embeddings else Tensor(
         stream.normal((cfg.hidden, cfg.vocab_size), 0.0, base, dtype=dtype))
-    return RecurrentModel(embed, prelude, adapter, recurrent, coda,
-                          Tensor(np.ones(cfg.hidden, dtype=dtype)), unembed,
-                          cfg)
+    final_norm = Tensor(np.ones(cfg.hidden, dtype=dtype))
+    if not recurrent:
+        return FixedModel(embed, *blocks, final_norm, unembed, cfg)
+    prelude, middle, coda = blocks
+    return RecurrentModel(embed, prelude, adapter, middle, coda, final_norm,
+                          unembed, cfg)
+
+
+def init_fixed(cfg: ModelConfig, depth: int, stream: RandomStream,
+               emb_scale: float = 1.0, dtype=np.float64) -> FixedModel:
+    """Depth-scaled normal init for the fixed-depth baseline."""
+    return _init_model(cfg, (depth,), False, stream, emb_scale, dtype)
+
+
+def init_recurrent(cfg: ModelConfig, plan_tuple: tuple, stream: RandomStream,
+                   emb_scale: float = 1.0, dtype=np.float64) -> RecurrentModel:
+    """From-scratch recurrent model with the same depth-scaled init."""
+    return _init_model(cfg, tuple(plan_tuple), True, stream, emb_scale, dtype)

@@ -63,7 +63,8 @@ class AdamW:
         self.m: dict = {}
         self.v: dict = {}
 
-    def _moments(self, params: dict, grads: dict) -> None:
+    def _corrected(self, params: dict, grads: dict):
+        """Update the moments; yield (param, m_hat, v_hat) per gradient."""
         self.t += 1
         for name, g in grads.items():
             if name not in self.m:
@@ -71,10 +72,6 @@ class AdamW:
                 self.v[name] = np.zeros_like(params[name].data)
             self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
             self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g ** 2
-
-    def _corrected(self, params: dict, grads: dict):
-        """Update the moments; yield (param, m_hat, v_hat) per gradient."""
-        self._moments(params, grads)
         bc1 = 1 - self.beta1 ** self.t
         bc2 = 1 - self.beta2 ** self.t
         for name, p in params.items():
@@ -126,20 +123,14 @@ class AdamWStar(AdamW):
 
 class Muon:
     """Nesterov momentum + Newton-Schulz orthogonalization for 2D weights;
-    embeddings/unembeddings and non-2D tensors fall back to AdamW."""
+    `embed`, `unembed` and non-2D tensors fall back to AdamW at the same
+    learning rate and weight decay."""
 
-    def __init__(self, momentum: float = 0.95, weight_decay: float = 1e-4,
-                 fallback: AdamW | None = None, fallback_lr_ratio: float = 1.0,
-                 exclude_names: tuple = ("embed", "unembed")):
+    def __init__(self, momentum: float = 0.95, weight_decay: float = 1e-4):
         self.weight_decay = weight_decay
         self.momentum = momentum
         self.buffers: dict = {}
-        self.fallback = fallback or AdamW(weight_decay=weight_decay)
-        self.fallback_lr_ratio = fallback_lr_ratio
-        self.exclude_names = tuple(exclude_names)
-
-    def routes_to_fallback(self, name: str, arr: np.ndarray) -> bool:
-        return arr.ndim != 2 or name in self.exclude_names
+        self.fallback = AdamW(weight_decay=weight_decay)
 
     def step(self, params, grads, lr):
         fallback_params, fallback_grads = {}, {}
@@ -147,7 +138,7 @@ class Muon:
             g = grads.get(name)
             if g is None:
                 continue
-            if self.routes_to_fallback(name, p.data):
+            if p.data.ndim != 2 or name in ("embed", "unembed"):
                 fallback_params[name] = p
                 fallback_grads[name] = g
                 continue
@@ -163,8 +154,7 @@ class Muon:
             new = p.data * (1.0 - lr * self.weight_decay) - lr * shape_scale * ortho
             p.data = new.astype(p.data.dtype, copy=False)
         if fallback_params:
-            self.fallback.step(fallback_params, fallback_grads,
-                               lr * self.fallback_lr_ratio)
+            self.fallback.step(fallback_params, fallback_grads, lr)
 
     def state_tensors(self):
         out = {f"buf.{k}": v for k, v in self.buffers.items()}

@@ -16,13 +16,13 @@ model's layout; a missing tensor or metadata key is a `FormatError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autograd import Tensor
 from .checkpoint import Checkpoint
-from .errors import FormatError, PlanError
+from .errors import ContractError, FormatError, PlanError
 from .model import (BlockWeights, FixedModel, ModelConfig, RecurrentModel,
                     block_fields, forward_fixed_hidden)
 from .random import RandomStream
@@ -30,17 +30,15 @@ from .random import RandomStream
 
 @dataclass
 class SurgeryPlan:
-    p_count: int
-    r_count: int
-    c_count: int
     donor_depth: int
-    prelude_layers: list = field(default_factory=list)
-    recurrent_layers: list = field(default_factory=list)
-    coda_layers: list = field(default_factory=list)
+    prelude_layers: list
+    recurrent_layers: list
+    coda_layers: list
 
     @property
     def tuple(self) -> tuple:
-        return (self.p_count, self.r_count, self.c_count)
+        return (len(self.prelude_layers), len(self.recurrent_layers),
+                len(self.coda_layers))
 
     def to_dict(self) -> dict:
         return {"tuple": list(self.tuple), "donor_depth": self.donor_depth,
@@ -80,7 +78,7 @@ def make_plan(plan_tuple: tuple, donor_depth: int,
     combined = prelude + recurrent + coda
     if len(set(combined)) != len(combined):
         raise PlanError("layer lists overlap")
-    return SurgeryPlan(p, r, c, donor_depth, prelude, recurrent, coda)
+    return SurgeryPlan(donor_depth, prelude, recurrent, coda)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +157,7 @@ def _meta(meta: dict, key: str):
 def _model_config(meta: dict) -> ModelConfig:
     try:
         return ModelConfig.from_dict(_meta(meta, "config"))
-    except TypeError as exc:
+    except (TypeError, ContractError) as exc:
         raise FormatError(f"checkpoint config: {exc}") from exc
 
 
@@ -227,6 +225,32 @@ def _donor_config(donor: Checkpoint) -> ModelConfig:
     return _model_config(donor.metadata)
 
 
+def donor_depth(donor: Checkpoint) -> int:
+    """Layer count of a donor checkpoint, the depth its plan is cut from."""
+    return _meta(donor.metadata, "depth")
+
+
+def adapter_weights(adapter_init: str, h: int, depth: int, dtype,
+                    stream: RandomStream | None = None,
+                    noise_std: float = 0.0) -> np.ndarray:
+    """The new (2h, h) adapter of a surgery; an unknown init is a ValueError."""
+    if adapter_init == "identity-pass":
+        adapter = np.zeros((2 * h, h), dtype=dtype)
+        adapter[h:, :] = np.eye(h, dtype=dtype)
+        if noise_std > 0:
+            if stream is None:
+                raise ValueError("noise_std > 0 requires a random stream")
+            adapter = adapter + stream.normal((2 * h, h), 0.0, noise_std,
+                                              dtype=dtype)
+        return adapter
+    if adapter_init == "scaled-random":
+        if stream is None:
+            raise ValueError("scaled-random adapter init requires a stream")
+        base = np.sqrt(2.0 / (5.0 * h)) / np.sqrt(2.0 * depth)
+        return stream.normal((2 * h, h), 0.0, base, dtype=dtype)
+    raise ValueError(f"unknown adapter init {adapter_init!r}")
+
+
 def apply_surgery(donor: Checkpoint, plan: SurgeryPlan,
                   adapter_init: str = "identity-pass",
                   stream: RandomStream | None = None,
@@ -237,27 +261,13 @@ def apply_surgery(donor: Checkpoint, plan: SurgeryPlan,
     only the adapter is new.
     """
     cfg = _donor_config(donor)
-    depth = _meta(donor.metadata, "depth")
+    depth = donor_depth(donor)
     if depth != plan.donor_depth:
         raise FormatError(f"plan expects donor depth {plan.donor_depth}, "
                           f"checkpoint has {depth}")
-    h = cfg.hidden
-    dtype = _tensor(donor.tensors, "embed").dtype
-    if adapter_init == "identity-pass":
-        adapter = np.zeros((2 * h, h), dtype=dtype)
-        adapter[h:, :] = np.eye(h, dtype=dtype)
-        if noise_std > 0:
-            if stream is None:
-                raise ValueError("noise_std > 0 requires a random stream")
-            adapter = adapter + stream.normal((2 * h, h), 0.0, noise_std,
-                                              dtype=dtype)
-    elif adapter_init == "scaled-random":
-        if stream is None:
-            raise ValueError("scaled-random adapter init requires a stream")
-        base = np.sqrt(2.0 / (5.0 * h)) / np.sqrt(2.0 * plan.donor_depth)
-        adapter = stream.normal((2 * h, h), 0.0, base, dtype=dtype)
-    else:
-        raise ValueError(f"unknown adapter init {adapter_init!r}")
+    adapter = adapter_weights(adapter_init, cfg.hidden, depth,
+                              _tensor(donor.tensors, "embed").dtype, stream,
+                              noise_std)
     sections = _layer_prefixes(plan.prelude_layers, plan.recurrent_layers,
                                plan.coda_layers)
     model = _build(donor.tensors, cfg, sections, Tensor(adapter))

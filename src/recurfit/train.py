@@ -27,7 +27,7 @@ from .autograd import Tape
 from .config import RunConfig, resolved_config_json
 from .checkpoint import Checkpoint
 from .data import step_batch, validate_phases
-from .errors import DivergenceError, NonFiniteError
+from .errors import DivergenceError, FormatError, NonFiniteError
 from .flops import FlopMeter
 from .model import (FixedModel, RecurrenceRun, forward_fixed,
                     forward_recurrent, init_fixed, init_recurrent)
@@ -36,25 +36,22 @@ from .random import RandomStream
 from .schedules import (DepthDistribution, curriculum_mean, lr_at,
                         sample_recurrence, window_at)
 from .surgery import (apply_surgery, count_fixed_params, count_parameters,
-                      make_plan, model_from_checkpoint, model_to_checkpoint)
+                      donor_depth, make_plan, model_from_checkpoint,
+                      model_to_checkpoint)
 
 METRIC_COLUMNS = ("step", "loss", "lr", "curriculum_mean", "sampled_r",
                   "window", "tokens_seen", "cumulative_flops", "nonfinite")
 
 
-def _np_dtype(name: str):
-    return np.float64 if name == "float64" else np.float32
-
-
 def build_initial_model(cfg: RunConfig):
     """Model from init checkpoint, surgery on a donor, or scratch init."""
-    dtype = _np_dtype(cfg.dtype)
+    dtype = np.dtype(cfg.dtype)
     if cfg.init_checkpoint:
         return model_from_checkpoint(Checkpoint.load(cfg.init_checkpoint),
                                      dtype=dtype)
     if cfg.donor_checkpoint:
         donor = Checkpoint.load(cfg.donor_checkpoint)
-        plan = make_plan(tuple(cfg.plan_tuple), donor.metadata["depth"])
+        plan = make_plan(tuple(cfg.plan_tuple), donor_depth(donor))
         surgical = apply_surgery(donor, plan, cfg.adapter_init,
                                  RandomStream(cfg.seed, "adapter"),
                                  cfg.adapter_noise_std)
@@ -100,13 +97,17 @@ def train(cfg: RunConfig, resume_from: str | None = None) -> dict:
     start_step = 0
     if resume_from:
         ckpt = Checkpoint.load(resume_from)
-        model = model_from_checkpoint(ckpt, dtype=_np_dtype(cfg.dtype))
-        optimizer.load_state_tensors(
-            {k[len("optimizer."):]: v for k, v in ckpt.tensors.items()
-             if k.startswith("optimizer.")})
-        start_step = int(ckpt.metadata["step"])
-        tokens_seen = int(ckpt.metadata["tokens_seen"])
-        meter.cumulative = float(ckpt.metadata["cumulative_flops"])
+        model = model_from_checkpoint(ckpt, dtype=np.dtype(cfg.dtype))
+        try:
+            start_step = int(ckpt.metadata["step"])
+            tokens_seen = int(ckpt.metadata["tokens_seen"])
+            meter.cumulative = float(ckpt.metadata["cumulative_flops"])
+            optimizer.load_state_tensors(
+                {k[len("optimizer."):]: v for k, v in ckpt.tensors.items()
+                 if k.startswith("optimizer.")})
+        except KeyError as exc:
+            raise FormatError(f"{resume_from}: no training metadata or "
+                              f"optimizer state {exc} to resume from") from exc
     else:
         model = build_initial_model(cfg)
 
@@ -120,16 +121,21 @@ def train(cfg: RunConfig, resume_from: str | None = None) -> dict:
     context = model.config.context_length
     n_micro = cfg.global_batch // cfg.micro_batch
     metrics_path = out_dir / "metrics.csv"
-    mode = "a" if resume_from and metrics_path.exists() else "w"
+    kept_rows = []
+    if resume_from and metrics_path.exists():
+        # rows at or past the checkpoint step are logged again below
+        with open(metrics_path, newline="") as mf:
+            kept_rows = [row for row in list(csv.reader(mf))[1:]
+                         if int(row[0]) < start_step]
     consecutive_bad = 0
 
     previous_check = ag.set_check_finite(False)
     try:
-        with open(metrics_path, mode, newline="") as mf, \
+        with open(metrics_path, "w", newline="") as mf, \
                 np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             writer = csv.writer(mf)
-            if mode == "w":
-                writer.writerow(METRIC_COLUMNS)
+            writer.writerow(METRIC_COLUMNS)
+            writer.writerows(kept_rows)
             for step in range(start_step, cfg.total_steps):
                 mean_r = curriculum_mean(cfg.curriculum, step)
                 window = window_at(cfg.window, step)

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from recurfit import autograd as ag
 from recurfit.autograd import Tape, Tensor
@@ -64,31 +62,6 @@ def test_backward_requires_scalar_loss():
             ag.backward(out, tape)
 
 
-def test_detach_blocks_one_factor():
-    t = Tensor(np.array([1.0, 2.0, 3.0]))
-    with Tape() as tape:
-        loss = ag.tsum(ag.mul(t.detach(), t))
-        grads = ag.backward(loss, tape)
-    np.testing.assert_array_equal(grads[t], t.data)
-
-
-def test_detach_value_identical_and_gradient_free():
-    t = Tensor(np.array([1.5, -2.0]))
-    d = t.detach()
-    assert d.data is t.data  # bitwise-identical view
-    with Tape() as tape:
-        loss = ag.tsum(t.detach())
-        grads = ag.backward(loss, tape)
-    assert t not in grads
-
-
-def test_detached_node_has_no_parents_on_tape():
-    t = Tensor(np.ones(2))
-    with Tape() as tape:
-        d = t.detach()
-        assert d in tape.nodes and d.parents == () and d.detached
-
-
 def test_no_record_suspends_and_restores_tape():
     a, b = Tensor(np.ones(2)), Tensor(np.ones(2))
     with Tape() as tape:
@@ -96,12 +69,10 @@ def test_no_record_suspends_and_restores_tape():
         with ag.no_record():
             assert ag.active_tape() is None
             inside = ag.mul(before, b)
-            detached = inside.detach()
         assert ag.active_tape() is tape
         after = ag.tsum(before)
     assert tape.nodes == [before, after]
     assert inside.parents == () and inside.backward_fn is None
-    assert detached not in tape.nodes
     assert ag.active_tape() is None
 
 
@@ -222,17 +193,6 @@ def test_gradients_bitwise_deterministic():
 
     g1, g2 = run(), run()
     assert np.array_equal(g1, g2)
-
-
-@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=32))
-@settings(max_examples=50, deadline=None)
-def test_detach_idempotent_and_value_preserving(values):
-    t = Tensor(np.asarray(values))
-    once = t.detach()
-    twice = once.detach()
-    np.testing.assert_array_equal(once.data, t.data)
-    np.testing.assert_array_equal(twice.data, t.data)
-    assert once.parents == () and twice.parents == ()
 
 
 def test_nonfinite_output_raises():

@@ -72,6 +72,19 @@ def test_load_config_invalid_values(tmp_path):
         load_config(write_config(tmp_path, micro_batch=3, global_batch=8))
 
 
+@pytest.mark.parametrize("extra,needle", [
+    ({"optimizer": "sgd"}, "sgd"),
+    ({"optimizer": "muon", "optimizer_hyper": {"bogus": 1}}, "bogus"),
+    ({"adapter_init": "foo"}, "foo"),
+], ids=["optimizer", "optimizer-hyper", "adapter-init"])
+def test_unknown_optimizer_or_adapter_is_config_error(tmp_path, capsys, extra,
+                                                      needle):
+    path = write_config(tmp_path, **extra)
+    with pytest.raises(ConfigError, match=needle):
+        load_config(path)
+    assert main(["train", "--config", str(path)]) == EXIT_CONFIG
+
+
 # ---------------------------------------------------------------------------
 # CLI commands
 
@@ -166,6 +179,40 @@ def test_exit_code_format_error(tmp_path, donor_ckpt, capsys):
     short = tmp_path / "short.rfck"
     short.write_bytes(b"RFCK12")
     assert main(["eval", "--checkpoint", str(short)]) == EXIT_FORMAT
+
+
+@pytest.mark.parametrize("argv", [
+    ["surgery", "--plan-tuple", "1,x,1", "--out", "x.rfck"],
+    ["eval", "--recurrences", "1,a"],
+], ids=["plan-tuple", "recurrences"])
+def test_exit_code_non_integer_comma_list(tmp_path, donor_ckpt, capsys, argv):
+    flag = "--donor" if argv[0] == "surgery" else "--checkpoint"
+    assert main(argv + [flag, str(donor_ckpt)]) == EXIT_CONFIG
+    assert "expected integers" in capsys.readouterr().err
+
+
+def _edited_checkpoint(tmp_path, source, edit):
+    ckpt = Checkpoint.load(source)
+    edit(ckpt.metadata)
+    path = tmp_path / "edited.rfck"
+    ckpt.save(path)
+    return path
+
+
+def test_exit_code_donor_without_depth(tmp_path, donor_ckpt, capsys):
+    donor = _edited_checkpoint(tmp_path, donor_ckpt,
+                               lambda meta: meta.pop("depth"))
+    assert main(["surgery", "--donor", str(donor), "--plan-tuple", "1,2,1",
+                 "--out", str(tmp_path / "x.rfck")]) == EXIT_FORMAT
+    assert "depth" in capsys.readouterr().err
+
+
+def test_exit_code_inconsistent_checkpoint_config(tmp_path, donor_ckpt,
+                                                  capsys):
+    bad = _edited_checkpoint(tmp_path, donor_ckpt,
+                             lambda meta: meta["config"].update(hidden=17))
+    assert main(["eval", "--checkpoint", str(bad)]) == EXIT_FORMAT
+    assert "hidden (17)" in capsys.readouterr().err
 
 
 def test_exit_code_bad_directory_entry(tmp_path, donor_ckpt, capsys):

@@ -151,7 +151,7 @@ def _explicit_detach_grads(model, tokens, targets, r, w, s0_seed=9):
                                  RandomStream(s0_seed, "s0"))
         for i in range(1, r + 1):
             if r > w and i == r - w + 1:
-                s = s.detach()
+                s = Tensor(s.data)
             s = recurrent_step(model, s, e)
         for bw in model.coda:
             s = decoder_block(s, bw, model.config)

@@ -195,6 +195,47 @@ def test_checkpoint_roundtrip_bit_exact(toy_donor, tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+class _FailingFile:
+    """Binary file that raises once `limit` bytes have been written."""
+
+    def __init__(self, path, limit):
+        self.f, self.left = open(path, "wb"), limit
+
+    def write(self, raw):
+        if len(raw) > self.left:
+            self.f.write(raw[:self.left])
+            raise OSError("no space left on device")
+        self.left -= len(raw)
+        return self.f.write(raw)
+
+    def writelines(self, parts):
+        for raw in parts:
+            self.write(raw)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+def test_checkpoint_failed_save_keeps_previous_file(toy_donor, tmp_path,
+                                                    monkeypatch):
+    import recurfit.checkpoint as checkpoint_mod
+    path = tmp_path / "donor.rfck"
+    toy_donor.save(path)
+    before = path.read_bytes()
+    changed = Checkpoint(dict(toy_donor.metadata, note="newer"),
+                         {k: v + 1 for k, v in toy_donor.tensors.items()})
+    monkeypatch.setattr(checkpoint_mod, "open",
+                        lambda p, mode: _FailingFile(p, len(before) // 2),
+                        raising=False)
+    with pytest.raises(OSError, match="no space"):
+        changed.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["donor.rfck"]
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.rfck"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -354,8 +395,9 @@ def _drop(d, key):
     ("recurrent", lambda m: _drop(m, "plan_tuple")),
     ("recurrent", lambda m: dict(m, plan_tuple=[1, 2, 1, 1])),
     ("fixed", lambda m: dict(m, config=dict(m["config"], hiden=16))),
+    ("fixed", lambda m: dict(m, config=dict(m["config"], hidden=17))),
 ], ids=["no-config", "no-kind", "no-depth", "no-plan-tuple", "long-plan-tuple",
-        "unknown-key"])
+        "unknown-key", "hidden-vs-heads"])
 def test_checkpoint_bad_metadata(toy_donor, kind, edit):
     ckpt = toy_donor
     if kind == "recurrent":

@@ -10,7 +10,7 @@ import pytest
 import recurfit.train as train_mod
 from recurfit.checkpoint import Checkpoint
 from recurfit.config import RunConfig
-from recurfit.errors import DivergenceError
+from recurfit.errors import DivergenceError, FormatError
 from recurfit.evaluate import val_loss
 from recurfit.flops import flops_fixed, flops_for_step
 from recurfit.model import ModelConfig, init_fixed
@@ -155,6 +155,56 @@ def test_resume_appends_metrics_in_place(tmp_path):
         csv.writer(f).writerows(full_rows[:1 + 3])
     train(tiny_run(out, 6), resume_from=str(out / "ckpt_step3.rfck"))
     assert read_metrics(out / "metrics.csv") == full_rows
+
+
+def test_resume_in_place_drops_rows_past_the_checkpoint(tmp_path):
+    """A run that logged past its last checkpoint (here: to the end) and is
+    resumed into the same directory ends with the uninterrupted files."""
+    out = tmp_path / "run"
+    train(tiny_run(out, 4, checkpoint_interval=2))
+    metrics = (out / "metrics.csv").read_bytes()
+    final = (out / "final.rfck").read_bytes()
+    train(tiny_run(out, 4, checkpoint_interval=2),
+          resume_from=str(out / "ckpt_step2.rfck"))
+    assert (out / "metrics.csv").read_bytes() == metrics
+    assert (out / "final.rfck").read_bytes() == final
+
+
+def _without_optimizer_state(ckpt):
+    return Checkpoint(ckpt.metadata, {k: v for k, v in ckpt.tensors.items()
+                                      if not k.startswith("optimizer.")})
+
+
+def _fixed_donor():
+    return model_to_checkpoint(init_fixed(tiny_run("unused", 1).model, 3,
+                                          RandomStream(0, "init")))
+
+
+def _surgery_output(_ckpt):
+    return apply_surgery(_fixed_donor(), make_plan((1, 1, 1), 3),
+                         "identity-pass", noise_std=0.0)
+
+
+@pytest.mark.parametrize("make_bad,missing", [
+    (_surgery_output, "'step'"), (_without_optimizer_state, "'t'")],
+    ids=["surgery-output", "no-optimizer-state"])
+def test_resume_without_training_state_is_format_error(tmp_path, make_bad,
+                                                       missing):
+    train(tiny_run(tmp_path / "run", 2, checkpoint_interval=1))
+    bad = tmp_path / "bad.rfck"
+    make_bad(Checkpoint.load(tmp_path / "run" / "ckpt_step1.rfck")).save(bad)
+    with pytest.raises(FormatError, match=missing):
+        train(tiny_run(tmp_path / "resumed", 2), resume_from=str(bad))
+
+
+def test_donor_without_depth_is_format_error(tmp_path):
+    donor = _fixed_donor()
+    del donor.metadata["depth"]
+    path = tmp_path / "donor.rfck"
+    donor.save(path)
+    with pytest.raises(FormatError, match="depth"):
+        build_initial_model(tiny_run(tmp_path / "run", 1,
+                                     donor_checkpoint=str(path)))
 
 
 # ---------------------------------------------------------------------------
