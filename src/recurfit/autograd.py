@@ -120,7 +120,7 @@ def _wrap(value) -> Tensor:
 
 
 def _make(data: np.ndarray, parents, backward_fn) -> Tensor:
-    if _CHECK_FINITE and not np.all(np.isfinite(data)):
+    if _CHECK_FINITE and not np.isfinite(data).all():
         raise NonFiniteError("op produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = data

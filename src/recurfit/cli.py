@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -103,7 +104,7 @@ def cmd_flops(args) -> int:
         report = count_parameters(cfg.model, tuple(cfg.plan_tuple))
         n1, n2 = recurrent_split(report, args.mean_r, args.window)
         payload = {"model_kind": "recurrent",
-                   "param_report": report.to_dict(),
+                   "param_report": dataclasses.asdict(report),
                    "mean_r": args.mean_r, "window": args.window,
                    "tokens": tokens, "n1": n1, "n2": n2,
                    "flops": flops_for_step(report, args.mean_r, args.window,

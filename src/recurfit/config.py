@@ -1,7 +1,8 @@
 """Run configuration: schema, file loading, and dotted-key overrides.
 
 Config files are JSON. Every field is validated against the dataclass
-schema; unknown keys are rejected with their full path so typos fail
+schema, and a field whose annotation is a dataclass is read as a nested
+section; unknown keys are rejected with their full path so typos fail
 loudly instead of silently using a default.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,38 +65,29 @@ class RunConfig:
         try:
             build_optimizer(self.optimizer, self.optimizer_hyper)
             adapter_weights(self.adapter_init, 1, 1, "float64", RandomStream(0))
-        except (ContractError, TypeError, ValueError) as exc:
+        except (ContractError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-_NESTED = {"model": ModelConfig, "curriculum": CurriculumSpec,
-           "window": WindowSchedule, "lr": WsdSpec}
 
 
 def _build_dataclass(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object")
-    names = {f.name for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)  # field name -> type
     for key in data:
-        if key not in names:
+        if key not in hints:
             raise ConfigError(f"unknown config key '{path}.{key}'"
                               if path else f"unknown config key '{key}'")
     kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in data:
-            continue
-        value = data[f.name]
-        sub = _NESTED.get(f.name) if cls is RunConfig else None
-        kwargs[f.name] = (_build_dataclass(sub, value, f"{path}.{f.name}" if path
-                                           else f.name) if sub else value)
+    for name, value in data.items():
+        sub = hints[name]
+        kwargs[name] = (_build_dataclass(sub, value, f"{path}.{name}" if path
+                                         else name)
+                        if dataclasses.is_dataclass(sub) else value)
     try:
         return cls(**kwargs)
     except ConfigError:
         raise
-    except TypeError as exc:
+    except (TypeError, ContractError) as exc:
         raise ConfigError(f"{path or cls.__name__}: {exc}") from exc
 
 
@@ -134,11 +127,8 @@ def load_config(path, overrides: list | None = None) -> RunConfig:
     for text in overrides or []:
         key, value = _parse_override(text)
         _apply_override(data, key, value)
-    cfg = _build_dataclass(RunConfig, data, "")
-    if not isinstance(cfg.model, ModelConfig):
-        raise ConfigError("config must include a 'model' section")
-    return cfg
+    return _build_dataclass(RunConfig, data, "")
 
 
 def resolved_config_json(cfg: RunConfig) -> str:
-    return json.dumps(cfg.to_dict(), indent=2, sort_keys=True)
+    return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True)

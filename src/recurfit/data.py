@@ -22,8 +22,6 @@ _LEXICON = ("the quick brown fox jumps over a lazy dog while rain falls on "
             "green hills and small birds sing near quiet rivers under pale "
             "morning light").split()
 
-DATASET_IDS = ("plain", "arithmetic", "copy")
-
 
 def generate_document(dataset_id: str, stream: RandomStream) -> bytes:
     if dataset_id == "plain":
@@ -134,6 +132,10 @@ def step_batch(seed: int, step: int, phases: list, batch_size: int,
 def eval_batch(seed: int, dataset_id: str, count: int,
                context_length: int) -> tuple:
     """Held-out items, disjoint from training draws by stream label."""
+    if count < 1 or context_length < 1:
+        raise InputError(f"an eval batch needs at least one item and one "
+                         f"token of context, got {count} items of "
+                         f"{context_length}")
     inputs = np.empty((count, context_length), dtype=np.int64)
     targets = np.empty((count, context_length), dtype=np.int64)
     for i in range(count):

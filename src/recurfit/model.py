@@ -9,10 +9,11 @@ before them run untaped, since no gradient reaches them. For evaluation,
 `recurrence_sweep` runs the recurrence once up to the largest requested
 count and reads out logits at each requested count on the way.
 
-This module owns the parameter layout: `block_fields(cfg)` names a
-block's tensors, `segments()` a model's block sections, and `params()`
-every tensor in checkpoint order (embed, sections with the adapter before
-the recurrent block, final_norm, unembed); gradient clipping sums in it.
+This module owns the parameter layout: `block_shapes(cfg)` and
+`outer_shapes(cfg)` give every tensor's name and shape, `assemble` builds
+a model from them, `segments()` names its block sections, and `params()`
+lists every tensor in checkpoint order (embed, sections with the adapter
+before the recurrent block, final_norm, unembed).
 """
 
 from __future__ import annotations
@@ -57,22 +58,27 @@ class ModelConfig:
     def kv_dim(self) -> int:
         return self.n_kv_heads * self.head_dim
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+def block_shapes(cfg: ModelConfig) -> dict:
+    """name -> shape of one block's tensors, in parameter order."""
+    h, kv, ffn = cfg.hidden, cfg.kv_dim, cfg.ffn_width
+    shapes = {"wq": (h, h), "wk": (h, kv), "wv": (h, kv), "wo": (h, h),
+              "w_gate": (h, ffn), "w_up": (h, ffn), "w_down": (ffn, h),
+              "g_attn": (h,), "g_mlp": (h,)}
+    if cfg.qk_norm:
+        shapes.update(q_gain=(h,), k_gain=(kv,))
+    return shapes
 
 
-BLOCK_FIELDS = ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down",
-                "g_attn", "g_mlp")
-QK_FIELDS = ("q_gain", "k_gain")
-
-
-def block_fields(cfg: ModelConfig) -> tuple:
-    """Tensor names of one block, in parameter order."""
-    return BLOCK_FIELDS + (QK_FIELDS if cfg.qk_norm else ())
+def outer_shapes(cfg: ModelConfig) -> dict:
+    """name -> shape of the tensors around the blocks; the adapter is
+    the recurrent model's only."""
+    h = cfg.hidden
+    shapes = {"embed": (cfg.vocab_size, h), "adapter": (2 * h, h),
+              "final_norm": (h,)}
+    if not cfg.tie_embeddings:
+        shapes["unembed"] = (h, cfg.vocab_size)
+    return shapes
 
 
 @dataclass
@@ -90,8 +96,8 @@ class BlockWeights:
     k_gain: Tensor | None = None
 
     def named(self, prefix: str) -> dict:
-        fields = BLOCK_FIELDS + (QK_FIELDS if self.q_gain is not None else ())
-        return {f"{prefix}.{f}": getattr(self, f) for f in fields}
+        return {f"{prefix}.{f}": t for f, t in vars(self).items()
+                if t is not None}
 
 
 @dataclass
@@ -341,60 +347,57 @@ def recurrence_sweep(model: RecurrentModel, tokens, recurrences,
 # initialization
 
 
-def _init_block(cfg: ModelConfig, stream: RandomStream, effective_depth: int,
-                dtype) -> BlockWeights:
-    h, kv, ffn = cfg.hidden, cfg.kv_dim, cfg.ffn_width
-    base = np.sqrt(2.0 / (5.0 * h))
-    out_scale = 1.0 / np.sqrt(2.0 * max(effective_depth, 1))
-    bw = BlockWeights(
-        wq=Tensor(stream.normal((h, h), 0.0, base, dtype=dtype)),
-        wk=Tensor(stream.normal((h, kv), 0.0, base, dtype=dtype)),
-        wv=Tensor(stream.normal((h, kv), 0.0, base, dtype=dtype)),
-        wo=Tensor(stream.normal((h, h), 0.0, base * out_scale, dtype=dtype)),
-        w_gate=Tensor(stream.normal((h, ffn), 0.0, base, dtype=dtype)),
-        w_up=Tensor(stream.normal((h, ffn), 0.0, base, dtype=dtype)),
-        w_down=Tensor(stream.normal((ffn, h), 0.0, base * out_scale, dtype=dtype)),
-        g_attn=Tensor(np.ones(h, dtype=dtype)),
-        g_mlp=Tensor(np.ones(h, dtype=dtype)),
-    )
-    if cfg.qk_norm:
-        bw.q_gain = Tensor(np.ones(h, dtype=dtype))
-        bw.k_gain = Tensor(np.ones(kv, dtype=dtype))
-    return bw
+def assemble(cfg: ModelConfig, outer: dict, blocks: list):
+    """FixedModel from one block list, or RecurrentModel from three
+    (prelude, recurrent, coda); `outer` maps `outer_shapes` names to
+    tensors, the adapter only for a recurrent model."""
+    embed, final_norm = outer["embed"], outer["final_norm"]
+    unembed = outer.get("unembed")
+    if len(blocks) == 1:
+        return FixedModel(embed, blocks[0], final_norm, unembed, cfg)
+    prelude, recurrent, coda = blocks
+    return RecurrentModel(embed, prelude, outer["adapter"], recurrent, coda,
+                          final_norm, unembed, cfg)
 
 
-def _init_model(cfg: ModelConfig, counts: tuple, recurrent: bool,
-                stream: RandomStream, emb_scale: float, dtype):
+def _init_model(cfg: ModelConfig, counts: tuple, stream: RandomStream,
+                emb_scale: float, dtype):
     """Depth-scaled normal init drawn in layout order: embed, the adapter
-    (recurrent models), one block list per count, unembed."""
+    (three counts: a recurrent model), one block list per count, unembed.
+    Gains start at one; wo, w_down and the adapter shrink with depth."""
     if emb_scale <= 0:
         raise ContractError("emb_scale must be > 0")
-    depth = sum(counts)
     base = np.sqrt(2.0 / (5.0 * cfg.hidden))
-    embed = Tensor(stream.normal((cfg.vocab_size, cfg.hidden), 0.0,
-                                 base * emb_scale, dtype=dtype))
-    adapter = Tensor(stream.normal((2 * cfg.hidden, cfg.hidden), 0.0,
-                                   base * (1.0 / np.sqrt(2.0 * max(depth, 1))),
-                                   dtype=dtype)) if recurrent else None
-    blocks = [[_init_block(cfg, stream, depth, dtype) for _ in range(n)]
-              for n in counts]
-    unembed = None if cfg.tie_embeddings else Tensor(
-        stream.normal((cfg.hidden, cfg.vocab_size), 0.0, base, dtype=dtype))
-    final_norm = Tensor(np.ones(cfg.hidden, dtype=dtype))
-    if not recurrent:
-        return FixedModel(embed, *blocks, final_norm, unembed, cfg)
-    prelude, middle, coda = blocks
-    return RecurrentModel(embed, prelude, adapter, middle, coda, final_norm,
-                          unembed, cfg)
+    out_std = base * (1.0 / np.sqrt(2.0 * max(sum(counts), 1)))
+    std = {"embed": base * emb_scale, "adapter": out_std, "wo": out_std,
+           "w_down": out_std}
+
+    def draw(name: str, shape: tuple) -> Tensor:
+        if len(shape) == 1:
+            return Tensor(np.ones(shape, dtype=dtype))
+        return Tensor(stream.normal(shape, 0.0, std.get(name, base),
+                                    dtype=dtype))
+
+    shapes = outer_shapes(cfg)
+    outer = {name: draw(name, shape) for name, shape in shapes.items()
+             if name != "unembed" and (name != "adapter" or len(counts) == 3)}
+    blocks = [[BlockWeights(**{name: draw(name, shape)
+                               for name, shape in block_shapes(cfg).items()})
+               for _ in range(n)] for n in counts]
+    if "unembed" in shapes:
+        outer["unembed"] = draw("unembed", shapes["unembed"])
+    return assemble(cfg, outer, blocks)
 
 
 def init_fixed(cfg: ModelConfig, depth: int, stream: RandomStream,
                emb_scale: float = 1.0, dtype=np.float64) -> FixedModel:
     """Depth-scaled normal init for the fixed-depth baseline."""
-    return _init_model(cfg, (depth,), False, stream, emb_scale, dtype)
+    return _init_model(cfg, (depth,), stream, emb_scale, dtype)
 
 
 def init_recurrent(cfg: ModelConfig, plan_tuple: tuple, stream: RandomStream,
                    emb_scale: float = 1.0, dtype=np.float64) -> RecurrentModel:
     """From-scratch recurrent model with the same depth-scaled init."""
-    return _init_model(cfg, tuple(plan_tuple), True, stream, emb_scale, dtype)
+    if len(plan_tuple) != 3:
+        raise ContractError(f"plan tuple {plan_tuple} is not (p, r, c)")
+    return _init_model(cfg, tuple(plan_tuple), stream, emb_scale, dtype)

@@ -16,6 +16,12 @@ import numpy as np
 
 from .errors import ContractError
 
+# One Philox generator serves every draw: a draw's key is its whole state.
+# _FRESH is a new Philox state (zero counter, empty buffer) to key it from.
+_PHILOX = np.random.Philox(key=0)
+_GENERATOR = np.random.Generator(_PHILOX)
+_FRESH = _PHILOX.state
+
 
 @dataclass
 class RandomStream:
@@ -28,12 +34,16 @@ class RandomStream:
         return RandomStream(self.seed, f"{self.label}/{label}")
 
     def _generator(self) -> np.random.Generator:
+        """The shared generator, set to this stream's next key; it equals
+        a fresh `Generator(Philox(key=...))`. It is reset by the next
+        keyed draw of any stream, so callers draw from it at once and
+        never hold it, and draws are not thread-safe."""
         key_material = f"{self.seed}|{self.label}|{self.counter}".encode()
         digest = hashlib.blake2b(key_material, digest_size=16).digest()
         self.counter += 1
-        return np.random.Generator(
-            np.random.Philox(key=int.from_bytes(digest, "little"))
-        )
+        _FRESH["state"]["key"] = np.frombuffer(digest, "<u8")
+        _PHILOX.state = _FRESH
+        return _GENERATOR
 
     def normal(self, shape, mean: float = 0.0, std: float = 1.0,
                dtype=np.float64) -> np.ndarray:

@@ -5,7 +5,8 @@ The depth sampler draws r = 1 + Poisson(exp(l)) with
 l ~ Normal(ln(mu - 1) - s^2/2, s^2), so E[r] = mu exactly for any spread
 s; mu = 1 degenerates to r = 1. Curricula raise the sampler's mean from
 1 to a target over a warmup period with either a linear or a
-one-minus-sqrt shape.
+one-minus-sqrt shape. The backprop-window schedule is the same curriculum
+type with a default target of 8.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class CurriculumSpec:
     shape: str = "constant"
     target: int = 32
     warmup_steps: int = 0
-    clamp_min: int = 1
 
     def __post_init__(self):
         if self.shape not in CURRICULUM_SHAPES:
@@ -54,7 +54,7 @@ class CurriculumSpec:
 
 
 def curriculum_mean(spec: CurriculumSpec, step: int) -> int:
-    """Scheduled integer mean at `step`, clamped below and held at target."""
+    """Scheduled integer mean at `step`, at least 1 and held at target."""
     if step < 0:
         raise ContractError("step must be >= 0")
     if spec.shape == "constant" or spec.warmup_steps <= 0 or step >= spec.warmup_steps:
@@ -64,26 +64,17 @@ def curriculum_mean(spec: CurriculumSpec, step: int) -> int:
         value = math.ceil(spec.target * frac)
     else:  # one-minus-sqrt
         value = math.ceil(spec.target * (1.0 - math.sqrt(1.0 - frac)))
-    return max(value, spec.clamp_min)
+    return max(value, 1)
 
 
 @dataclass
-class WindowSchedule:
-    shape: str = "constant"
+class WindowSchedule(CurriculumSpec):
     target: int = 8
-    warmup_steps: int = 0
-
-    def __post_init__(self):
-        if self.shape not in CURRICULUM_SHAPES:
-            raise ContractError(f"unknown window shape {self.shape!r}")
-        if self.target < 1:
-            raise ContractError("window target must be >= 1")
 
 
 def window_at(ws: WindowSchedule, step: int) -> int:
-    """Backprop-window target at `step`; same formulas, clamped at 1."""
-    spec = CurriculumSpec(ws.shape, ws.target, ws.warmup_steps, clamp_min=1)
-    return curriculum_mean(spec, step)
+    """Backprop-window target at `step`; the curriculum formulas."""
+    return curriculum_mean(ws, step)
 
 
 @dataclass

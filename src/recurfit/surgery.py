@@ -9,13 +9,16 @@ dropped. The adapter defaults to an identity-pass init (zero on the
 state half, identity on the injected half) so the fresh recurrent model
 at r=1 behaves like the pruned donor.
 
-Surgery, pruning and checkpoint loading copy blocks with `_copy_blocks`
-and write through `model_to_checkpoint`, so tensor names follow the
-model's layout; a missing tensor or metadata key is a `FormatError`.
+Surgery, pruning and checkpoint loading read tensors through `_build`
+and write through `model_to_checkpoint`, so tensor names and shapes
+follow the model's layout tables; a missing metadata key, a missing
+tensor or a tensor of the wrong shape is a `FormatError`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +26,8 @@ import numpy as np
 from .autograd import Tensor
 from .checkpoint import Checkpoint
 from .errors import ContractError, FormatError, PlanError
-from .model import (BlockWeights, FixedModel, ModelConfig, RecurrentModel,
-                    block_fields, forward_fixed_hidden)
+from .model import (BlockWeights, FixedModel, ModelConfig, assemble,
+                    block_shapes, forward_fixed_hidden, outer_shapes)
 from .random import RandomStream
 
 
@@ -96,43 +99,39 @@ class ParamReport:
     body: int
     convention: str  # "table" excludes adapter + final norm; "true" includes
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def params_per_block(cfg: ModelConfig) -> int:
-    h, kv, ffn = cfg.hidden, cfg.kv_dim, cfg.ffn_width
-    count = 2 * h * h + 2 * h * kv + 3 * h * ffn + 2 * h
-    if cfg.qk_norm:
-        count += h + kv
-    return count
+    return sum(math.prod(shape) for shape in block_shapes(cfg).values())
 
 
-def embedding_params(cfg: ModelConfig) -> int:
-    per_matrix = cfg.vocab_size * cfg.hidden
-    return per_matrix if cfg.tie_embeddings else 2 * per_matrix
+def _outer_sizes(cfg: ModelConfig) -> dict:
+    """Element count of each outer tensor, plus both embeddings summed."""
+    sizes = {k: math.prod(shape) for k, shape in outer_shapes(cfg).items()}
+    sizes["embeddings"] = sizes["embed"] + sizes.get("unembed", 0)
+    return sizes
 
 
 def count_parameters(cfg: ModelConfig, plan, convention: str = "table") -> ParamReport:
     """Closed-form counts for a plan tuple under either convention."""
     if convention not in ("table", "true"):
-        raise ValueError(f"unknown convention {convention!r}")
+        raise ContractError(f"unknown convention {convention!r}")
     p, r, c = plan.tuple if isinstance(plan, SurgeryPlan) else tuple(plan)
     per = params_per_block(cfg)
-    adapter = 2 * cfg.hidden * cfg.hidden
-    final_norm = cfg.hidden
+    sizes = _outer_sizes(cfg)
     body = (p + r + c) * per
     if convention == "true":
-        body += adapter + final_norm
-    return ParamReport(embeddings=embedding_params(cfg), prelude=p * per,
-                       recurrent_block=r * per, coda=c * per, adapter=adapter,
-                       final_norm=final_norm, body=body, convention=convention)
+        body += sizes["adapter"] + sizes["final_norm"]
+    return ParamReport(embeddings=sizes["embeddings"], prelude=p * per,
+                       recurrent_block=r * per, coda=c * per,
+                       adapter=sizes["adapter"], final_norm=sizes["final_norm"],
+                       body=body, convention=convention)
 
 
 def count_fixed_params(cfg: ModelConfig, depth: int) -> dict:
     """Non-recurrent accounting: embeddings vs. body (blocks + final norm)."""
-    return {"embeddings": embedding_params(cfg),
-            "body": depth * params_per_block(cfg) + cfg.hidden}
+    sizes = _outer_sizes(cfg)
+    return {"embeddings": sizes["embeddings"],
+            "body": depth * params_per_block(cfg) + sizes["final_norm"]}
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +142,8 @@ def model_to_checkpoint(model, extra_metadata: dict | None = None) -> Checkpoint
     meta = ({"kind": "fixed", "depth": len(model.blocks)}
             if isinstance(model, FixedModel) else
             {"kind": "recurrent", "plan_tuple": list(model.plan_tuple)})
-    meta = {**meta, "config": model.config.to_dict(), **(extra_metadata or {})}
+    meta = {**meta, "config": dataclasses.asdict(model.config),
+            **(extra_metadata or {})}
     return Checkpoint(metadata=meta,
                       tensors={k: v.data for k, v in model.params().items()})
 
@@ -156,38 +156,33 @@ def _meta(meta: dict, key: str):
 
 def _model_config(meta: dict) -> ModelConfig:
     try:
-        return ModelConfig.from_dict(_meta(meta, "config"))
+        return ModelConfig(**_meta(meta, "config"))
     except (TypeError, ContractError) as exc:
         raise FormatError(f"checkpoint config: {exc}") from exc
 
 
-def _tensor(tensors: dict, name: str, dtype=None) -> Tensor:
+def _tensor(tensors: dict, name: str, shape: tuple, dtype=None) -> Tensor:
     if name not in tensors:
         raise FormatError(f"checkpoint missing tensor {name}")
-    return Tensor(np.asarray(tensors[name], dtype=dtype))
+    data = np.asarray(tensors[name], dtype=dtype)
+    if data.shape != shape:
+        raise FormatError(f"checkpoint tensor {name} has shape {data.shape}, "
+                          f"the model config needs {shape}")
+    return Tensor(data)
 
 
-def _copy_blocks(tensors: dict, sections, cfg: ModelConfig, dtype=None) -> list:
-    """One list of BlockWeights per section; a section lists the tensor
-    name prefixes of its blocks, in order."""
-    return [[BlockWeights(**{f: _tensor(tensors, f"{prefix}.{f}", dtype)
-                             for f in block_fields(cfg)})
-             for prefix in prefixes] for prefixes in sections]
-
-
-def _build(tensors: dict, cfg: ModelConfig, sections, adapter=None,
-           dtype=None):
+def _build(tensors: dict, cfg: ModelConfig, sections, dtype=None):
     """FixedModel from one section, or RecurrentModel from three (prelude,
-    recurrent, coda) around `adapter`; other weights come from `tensors`."""
-    embed = _tensor(tensors, "embed", dtype)
-    final_norm = _tensor(tensors, "final_norm", dtype)
-    unembed = None if cfg.tie_embeddings else _tensor(tensors, "unembed", dtype)
-    blocks = _copy_blocks(tensors, sections, cfg, dtype)
-    if adapter is None:
-        return FixedModel(embed, *blocks, final_norm, unembed, cfg)
-    prelude, recurrent, coda = blocks
-    return RecurrentModel(embed, prelude, adapter, recurrent, coda, final_norm,
-                          unembed, cfg)
+    recurrent, coda) and the adapter; a section lists its blocks' tensor
+    name prefixes. Every tensor is checked against the layout tables."""
+    outer = {name: _tensor(tensors, name, shape, dtype)
+             for name, shape in outer_shapes(cfg).items()
+             if name != "adapter" or len(sections) == 3}
+    blocks = [[BlockWeights(**{f: _tensor(tensors, f"{prefix}.{f}", shape,
+                                          dtype)
+                               for f, shape in block_shapes(cfg).items()})
+               for prefix in prefixes] for prefixes in sections]
+    return assemble(cfg, outer, blocks)
 
 
 def _layer_prefixes(*layer_lists) -> list:
@@ -200,7 +195,7 @@ def model_from_checkpoint(ckpt: Checkpoint, dtype=None):
     cfg = _model_config(meta)
     t = ckpt.tensors
     if dtype is None:
-        dtype = _tensor(t, "embed").dtype
+        dtype = _tensor(t, "embed", outer_shapes(cfg)["embed"]).dtype
     kind = _meta(meta, "kind")
     if kind == "fixed":
         return _build(t, cfg, _layer_prefixes(range(_meta(meta, "depth"))),
@@ -211,7 +206,7 @@ def model_from_checkpoint(ckpt: Checkpoint, dtype=None):
             raise FormatError(f"checkpoint plan_tuple {plan!r} is not [p, r, c]")
         sections = [[f"{name}.{i}" for i in range(n)] for name, n in
                     zip(("prelude", "recurrent", "coda"), plan)]
-        return _build(t, cfg, sections, _tensor(t, "adapter", dtype), dtype)
+        return _build(t, cfg, sections, dtype)
     raise FormatError(f"unknown checkpoint kind {kind!r}")
 
 
@@ -233,22 +228,23 @@ def donor_depth(donor: Checkpoint) -> int:
 def adapter_weights(adapter_init: str, h: int, depth: int, dtype,
                     stream: RandomStream | None = None,
                     noise_std: float = 0.0) -> np.ndarray:
-    """The new (2h, h) adapter of a surgery; an unknown init is a ValueError."""
+    """The new (2h, h) adapter of a surgery; an unknown init, or a random
+    init without a stream, is a ContractError."""
     if adapter_init == "identity-pass":
         adapter = np.zeros((2 * h, h), dtype=dtype)
         adapter[h:, :] = np.eye(h, dtype=dtype)
         if noise_std > 0:
             if stream is None:
-                raise ValueError("noise_std > 0 requires a random stream")
+                raise ContractError("noise_std > 0 requires a random stream")
             adapter = adapter + stream.normal((2 * h, h), 0.0, noise_std,
                                               dtype=dtype)
         return adapter
     if adapter_init == "scaled-random":
         if stream is None:
-            raise ValueError("scaled-random adapter init requires a stream")
+            raise ContractError("scaled-random adapter init requires a stream")
         base = np.sqrt(2.0 / (5.0 * h)) / np.sqrt(2.0 * depth)
         return stream.normal((2 * h, h), 0.0, base, dtype=dtype)
-    raise ValueError(f"unknown adapter init {adapter_init!r}")
+    raise ContractError(f"unknown adapter init {adapter_init!r}")
 
 
 def apply_surgery(donor: Checkpoint, plan: SurgeryPlan,
@@ -265,12 +261,12 @@ def apply_surgery(donor: Checkpoint, plan: SurgeryPlan,
     if depth != plan.donor_depth:
         raise FormatError(f"plan expects donor depth {plan.donor_depth}, "
                           f"checkpoint has {depth}")
-    adapter = adapter_weights(adapter_init, cfg.hidden, depth,
-                              _tensor(donor.tensors, "embed").dtype, stream,
-                              noise_std)
+    embed = _tensor(donor.tensors, "embed", outer_shapes(cfg)["embed"])
+    adapter = adapter_weights(adapter_init, cfg.hidden, depth, embed.dtype,
+                              stream, noise_std)
     sections = _layer_prefixes(plan.prelude_layers, plan.recurrent_layers,
                                plan.coda_layers)
-    model = _build(donor.tensors, cfg, sections, Tensor(adapter))
+    model = _build({**donor.tensors, "adapter": adapter}, cfg, sections)
     return model_to_checkpoint(model, extra_metadata={
         "plan": plan.to_dict(),
         "surgery": {"adapter_init": adapter_init, "noise_std": noise_std}})
@@ -291,7 +287,7 @@ def block_influence_scores(model: FixedModel, calibration_tokens) -> list:
     """
     calibration_tokens = np.asarray(calibration_tokens)
     if calibration_tokens.size == 0:
-        raise ValueError("calibration batch must be nonempty")
+        raise ContractError("calibration batch must be nonempty")
     pairs = forward_fixed_hidden(model, calibration_tokens)
     scores = []
     for x_in, x_out in pairs:

@@ -46,3 +46,38 @@ def test_tracer_install_replaces_and_uninstall_restores():
         tracer.uninstall()
     for (owner, attr), original in zip(targets, originals):
         assert raw(owner, attr) is original, f"{owner.__name__}.{attr}"
+
+
+def test_step_clock_hook_runs_once_per_step_before_the_batch(tmp_path,
+                                                             monkeypatch):
+    """The bench's step clock marks a step on each `train.curriculum_mean`
+    call: one per step, before that step's batch is drawn."""
+    import recurfit.train as train_mod
+    from recurfit.config import RunConfig
+    from recurfit.model import ModelConfig
+    from recurfit.schedules import CurriculumSpec, WindowSchedule
+
+    assert WindowSchedule("constant", 8, 0) == WindowSchedule()
+    events = []
+    mean, batch = train_mod.curriculum_mean, train_mod.step_batch
+
+    def counted_mean(spec, step):
+        events.append(("curriculum_mean", step))
+        return mean(spec, step)
+
+    def counted_batch(seed, step, *args):
+        events.append(("step_batch", step))
+        return batch(seed, step, *args)
+
+    monkeypatch.setattr(train_mod, "curriculum_mean", counted_mean)
+    monkeypatch.setattr(train_mod, "step_batch", counted_batch)
+    model = ModelConfig(vocab_size=257, hidden=16, n_query_heads=2,
+                        n_kv_heads=1, head_dim=8, ffn_width=16,
+                        context_length=8)
+    train_mod.train(RunConfig(
+        model=model, total_steps=3, out_dir=str(tmp_path), plan_tuple=[1, 1, 1],
+        optimizer="adamw", curriculum=CurriculumSpec("linear", 4, 2),
+        window=WindowSchedule("constant", 8, 0), micro_batch=2,
+        global_batch=2))
+    assert events == [(name, step) for step in range(3)
+                      for name in ("curriculum_mean", "step_batch")]

@@ -70,6 +70,10 @@ def test_load_config_invalid_values(tmp_path):
         load_config(write_config(tmp_path, model_kind="hybrid"))
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, micro_batch=3, global_batch=8))
+    with pytest.raises(ConfigError, match="model: hidden"):
+        load_config(write_config(tmp_path, model=dict(MODEL, hidden=17)))
+    with pytest.raises(ConfigError, match="curriculum: unknown"):
+        load_config(write_config(tmp_path, curriculum={"shape": "cubic"}))
 
 
 @pytest.mark.parametrize("extra,needle", [
@@ -179,6 +183,18 @@ def test_exit_code_format_error(tmp_path, donor_ckpt, capsys):
     short = tmp_path / "short.rfck"
     short.write_bytes(b"RFCK12")
     assert main(["eval", "--checkpoint", str(short)]) == EXIT_FORMAT
+    ckpt = Checkpoint.load(donor_ckpt)
+    ckpt.tensors["layers.0.wq"] = ckpt.tensors["layers.0.wq"][:, :8].copy()
+    misshapen = tmp_path / "misshapen.rfck"
+    ckpt.save(misshapen)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(misshapen)]) == EXIT_FORMAT
+    assert "layers.0.wq has shape (16, 8)" in capsys.readouterr().err
+    out = tmp_path / "surgical.rfck"
+    assert main(["surgery", "--donor", str(misshapen), "--plan-tuple", "1,2,1",
+                 "--out", str(out)]) == EXIT_FORMAT
+    assert "layers.0.wq has shape (16, 8)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -234,3 +250,9 @@ def test_exit_code_data_error(tmp_path, donor_ckpt, capsys):
           "--out", str(out)])
     assert main(["eval", "--checkpoint", str(out), "--dataset",
                  "wikipedia"]) == EXIT_DATA
+    for items in ("0", "-1"):
+        assert main(["eval", "--checkpoint", str(out), "--items",
+                     items]) == EXIT_DATA
+    for flag in ("--items", "--context"):
+        assert main(["layer-scores", "--checkpoint", str(donor_ckpt), flag,
+                     "0"]) == EXIT_DATA

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -93,14 +95,14 @@ def test_forward_fixed_deterministic(tiny_cfg):
 
 
 def test_sample_initial_state(tiny_cfg):
-    zero_cfg = ModelConfig(**{**tiny_cfg.to_dict(), "sigma_s0": 0.0})
+    zero_cfg = dataclasses.replace(tiny_cfg, sigma_s0=0.0)
     s = sample_initial_state(zero_cfg, 1, 4, RandomStream(0, "s0"))
     assert np.all(s.data == 0.0)
     a = sample_initial_state(tiny_cfg, 1, 4, RandomStream(1, "s0"))
     b = sample_initial_state(tiny_cfg, 1, 4, RandomStream(1, "s0"))
     assert np.array_equal(a.data, b.data)
-    wide_cfg = ModelConfig(**{**tiny_cfg.to_dict(), "hidden": 64,
-                              "n_query_heads": 8, "sigma_s0": 0.02})
+    wide_cfg = dataclasses.replace(tiny_cfg, hidden=64, n_query_heads=8,
+                                   sigma_s0=0.02)
     big = sample_initial_state(wide_cfg, 4, 40, RandomStream(2, "s0"))
     assert abs(big.data.std() - 0.02) < 0.05 * 0.02
 
@@ -286,6 +288,9 @@ def test_init_scaled_deterministic_and_emb_scale(tiny_cfg):
     assert np.array_equal(a.embed.data, b.embed.data)
     with pytest.raises(ContractError):
         init_fixed(tiny_cfg, 2, RandomStream(4, "init"), emb_scale=0.0)
+    for plan in ((4,), (1, 1)):
+        with pytest.raises(ContractError):
+            init_recurrent(tiny_cfg, plan, RandomStream(4, "init"))
     wide = ModelConfig(vocab_size=512, hidden=64, n_query_heads=4,
                        n_kv_heads=2, head_dim=16, ffn_width=128)
     base = np.sqrt(2.0 / (5.0 * 64))

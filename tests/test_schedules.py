@@ -49,7 +49,7 @@ def test_curriculum_matches_oracle_pointwise(shape, oracle):
 def test_curriculum_endpoints_and_clamp():
     for shape in ("linear", "one-minus-sqrt"):
         spec = CurriculumSpec(shape=shape, target=32, warmup_steps=100)
-        assert curriculum_mean(spec, 0) == 1  # clamp_min
+        assert curriculum_mean(spec, 0) == 1  # clamped at 1
         assert curriculum_mean(spec, 100) == 32
         assert curriculum_mean(spec, 10_000) == 32
 

@@ -415,6 +415,28 @@ def test_pruned_donor_missing_tensor(toy_donor):
                      make_plan((1, 2, 1), 6))
 
 
+@pytest.mark.parametrize("kind,name,shape", [
+    ("fixed", "layers.1.g_mlp", (3,)),
+    ("fixed", "embed", (10, 16)),
+    ("recurrent", "adapter", (16, 16)),
+], ids=["block-tensor", "embed", "adapter"])
+def test_checkpoint_wrong_tensor_shape(toy_donor, kind, name, shape):
+    ckpt = toy_donor
+    if kind == "recurrent":
+        ckpt = apply_surgery(toy_donor, make_plan((1, 2, 1), 6),
+                             "identity-pass", noise_std=0.0)
+    bad = Checkpoint(ckpt.metadata, dict(ckpt.tensors, **{name: np.zeros(shape)}))
+    want = ckpt.tensors[name].shape
+    with pytest.raises(FormatError) as err:
+        model_from_checkpoint(bad)
+    assert name in str(err.value)
+    assert str(shape) in str(err.value) and str(want) in str(err.value)
+    if kind == "fixed":
+        with pytest.raises(FormatError, match=name):
+            apply_surgery(bad, make_plan((1, 4, 1), 6), "identity-pass",
+                          noise_std=0.0)
+
+
 # ---------------------------------------------------------------------------
 # parameter layout
 
