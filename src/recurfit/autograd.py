@@ -7,6 +7,11 @@ inside a ``with no_record()`` block, is plain (and faster) numpy. Fused
 ops (rms_norm, causal_attn, cross_entropy_mean, ...) keep the op count
 per transformer block small enough that finite-difference sweeps over
 every parameter stay cheap.
+
+`backward` consumes its tape: it unlinks each node once that node's
+backward has run, so activations, the arrays its closure saved and its
+gradient are freed as the walk goes, and it returns the gradients of
+leaves only (parameters, inputs, constants).
 """
 
 from __future__ import annotations
@@ -78,10 +83,13 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of op results; creation order is topological."""
+    """Ordered record of op results; creation order is topological.
+
+    `backward` empties `nodes` and marks the tape consumed."""
 
     def __init__(self):
         self.nodes: list[Tensor] = []
+        self.consumed = False
 
     def __enter__(self):
         global _ACTIVE_TAPE
@@ -135,24 +143,34 @@ def _make(data: np.ndarray, parents, backward_fn) -> Tensor:
 
 
 def backward(loss: Tensor, tape: Tape) -> dict:
-    """Reverse accumulation from a scalar loss over the tape.
+    """Reverse accumulation from a scalar loss, consuming the tape.
 
-    Returns a map from tensor (node) to its gradient array; leaves such
-    as parameters appear in the map once some recorded op touches them.
+    Walks the tape from its last node, popping each node and its
+    gradient; after a node's backward has run, its parents and closure
+    are dropped, so what only it held is freed. Returns a map from leaf
+    tensor (parameter, input or constant, i.e. not on the tape) to its
+    gradient; a leaf appears once some recorded op touches it. A second
+    call on the same tape raises ContractError.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.data.shape}")
+    if tape.consumed:
+        raise ContractError("tape already consumed by backward")
+    tape.consumed = True
+    nodes = tape.nodes
     grads: dict = {loss: np.ones_like(loss.data)}
-    for node in reversed(tape.nodes):
-        grad = grads.get(node)
-        if grad is None or node.backward_fn is None:
-            continue
-        parent_grads = node.backward_fn(grad)
-        for parent, pg in zip(node.parents, parent_grads):
-            if pg is None:
-                continue
-            acc = grads.get(parent)
-            grads[parent] = pg if acc is None else acc + pg
+    while nodes:
+        node = nodes.pop()
+        grad = grads.pop(node, None)
+        if grad is not None and node.backward_fn is not None:
+            parent_grads = node.backward_fn(grad)
+            for parent, pg in zip(node.parents, parent_grads):
+                if pg is None:
+                    continue
+                acc = grads.get(parent)
+                grads[parent] = pg if acc is None else acc + pg
+        node.parents = ()
+        node.backward_fn = None
     return grads
 
 
@@ -313,7 +331,10 @@ def merge_heads(x) -> Tensor:
 
 
 def expand_kv(x, groups: int) -> Tensor:
-    """Repeat kv heads so each query-head group sees its kv head."""
+    """Repeat kv heads so each query-head group sees its kv head.
+
+    Unused: `causal_attn` takes kv heads as they are. Kept only because
+    `bench/tracer.py` wraps every name in its op list."""
     x = _wrap(x)
     if groups == 1:
         return x
@@ -338,25 +359,53 @@ def rope_rotate(x, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     return _make(data, (x,), bwd)
 
 
+_CAUSAL_MASKS: dict = {}
+
+
+def _causal_masks(n: int) -> tuple:
+    """(future, kept) boolean (n, n) masks: strictly above the diagonal,
+    and its complement."""
+    hit = _CAUSAL_MASKS.get(n)
+    if hit is None:
+        future = np.triu(np.ones((n, n), dtype=bool), k=1)
+        hit = _CAUSAL_MASKS[n] = (future, ~future)
+    return hit
+
+
 def causal_attn(q, k, v, att_scale: float) -> Tensor:
-    """softmax(q kᵀ · scale + causal mask) v over (B, H, n, d) inputs."""
+    """softmax(q kᵀ · scale + causal mask) v with grouped-query heads.
+
+    q is (B, H, n, d); k and v are (B, Hk, n, d) with H a multiple of Hk,
+    and query head i reads kv head i // (H / Hk). The kv heads are
+    broadcast over their query group, never copied; backward sums each
+    group's kv gradient over the group axis.
+    """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
-    n = q.data.shape[-2]
-    scores = (q.data @ np.swapaxes(k.data, -1, -2)) * att_scale
-    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
-    scores = np.where(mask, -np.inf, scores)
+    b, h, n, d = q.data.shape
+    hk = k.data.shape[1]
+    if h % hk or k.data.shape != v.data.shape:
+        raise ShapeError(f"query heads {q.data.shape} do not group over "
+                         f"kv heads {k.data.shape}, {v.data.shape}")
+    groups = h // hk
+    q5 = q.data.reshape(b, hk, groups, n, d)
+    k5, v5 = k.data[:, :, None], v.data[:, :, None]
+    future, kept = _causal_masks(n)
+    scores = (q5 @ np.swapaxes(k5, -1, -2)) * att_scale
+    np.copyto(scores, -np.inf, where=future)
     scores -= scores.max(axis=-1, keepdims=True)
-    attn = np.exp(scores)
+    attn = np.zeros_like(scores)
+    np.exp(scores, out=attn, where=kept)
     attn /= attn.sum(axis=-1, keepdims=True)
-    data = attn @ v.data
+    data = (attn @ v5).reshape(b, h, n, d)
 
     def bwd(g):
-        d_attn = g @ np.swapaxes(v.data, -1, -2)
-        gv = np.swapaxes(attn, -1, -2) @ g
+        g5 = g.reshape(b, hk, groups, n, d)
+        d_attn = g5 @ np.swapaxes(v5, -1, -2)
+        gv = (np.swapaxes(attn, -1, -2) @ g5).sum(axis=2)
         d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
         d_scores *= att_scale
-        gq = d_scores @ k.data
-        gk = np.swapaxes(d_scores, -1, -2) @ q.data
+        gq = (d_scores @ k5).reshape(b, h, n, d)
+        gk = (np.swapaxes(d_scores, -1, -2) @ q5).sum(axis=2)
         return gq, gk, gv
 
     return _make(data, (q, k, v), bwd)

@@ -208,9 +208,6 @@ def decoder_block(x: Tensor, bw: BlockWeights, cfg: ModelConfig) -> Tensor:
         cos, sin = rope_tables(n, cfg.head_dim, cfg.rope_base, x.dtype)
         q = ag.rope_rotate(q, cos, sin)
         k = ag.rope_rotate(k, cos, sin)
-        groups = cfg.n_query_heads // cfg.n_kv_heads
-        k = ag.expand_kv(k, groups)
-        v = ag.expand_kv(v, groups)
         out = ag.causal_attn(q, k, v, 1.0 / np.sqrt(cfg.head_dim))
         return ag.matmul(ag.merge_heads(out), bw.wo)
 

@@ -227,3 +227,112 @@ def test_cross_entropy_target_out_of_range(bad):
 def test_cross_entropy_float_targets():
     with pytest.raises(InputError, match="integers"):
         ag.cross_entropy_mean(np.zeros((1, 2, 5)), np.array([[0.0, 1.0]]))
+
+
+def _reference_attn(q, k, v, att_scale, g_out):
+    """Forward output and (q, k, v) gradients of the copy-and-mask chain:
+    kv heads repeated per query group, the mask applied with np.where,
+    a full softmax, and the repeated kv gradients summed per group."""
+    b, hk, n, d = k.shape
+    groups = q.shape[1] // hk
+    k_rep, v_rep = np.repeat(k, groups, axis=1), np.repeat(v, groups, axis=1)
+    scores = (q @ np.swapaxes(k_rep, -1, -2)) * att_scale
+    scores = np.where(np.triu(np.ones((n, n), dtype=bool), k=1), -np.inf,
+                      scores)
+    scores -= scores.max(axis=-1, keepdims=True)
+    attn = np.exp(scores)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    out = attn @ v_rep
+    d_attn = g_out @ np.swapaxes(v_rep, -1, -2)
+    gv = np.swapaxes(attn, -1, -2) @ g_out
+    d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+    d_scores *= att_scale
+    gq = d_scores @ k_rep
+    gk = np.swapaxes(d_scores, -1, -2) @ q
+    if groups > 1:
+        gk = gk.reshape(b, hk, groups, n, d).sum(axis=2)
+        gv = gv.reshape(b, hk, groups, n, d).sum(axis=2)
+    return out, gq, gk, gv
+
+
+def _attn_inputs(groups, n, dtype, seed=0, kv_heads=2, d=4):
+    """q as (B, H, n, d) and k, v as (B, Hk, n, d) views shaped as the
+    decoder block makes them: q and k contiguous, v a head-split view."""
+    rng = np.random.default_rng(seed)
+    b, h = 2, kv_heads * groups
+    q = rng.standard_normal((b, h, n, d)).astype(dtype)
+    k = rng.standard_normal((b, kv_heads, n, d)).astype(dtype)
+    v = (rng.standard_normal((b, n, kv_heads, d)).astype(dtype)
+         .transpose(0, 2, 1, 3))
+    return q, k, v
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("groups", [1, 2, 4])
+def test_causal_attn_matches_copy_and_mask_chain_bitwise(groups, n, dtype):
+    q, k, v = _attn_inputs(groups, n, dtype)
+    att_scale = 1.0 / np.sqrt(np.float64(q.shape[-1]))
+    g_out = np.random.default_rng(1).standard_normal(
+        q.shape[:2] + (n, q.shape[-1])).astype(dtype)
+    # strided as merge_heads' backward hands it over
+    g_out = g_out.transpose(0, 2, 1, 3).copy().transpose(0, 2, 1, 3)
+    tq, tk, tv = Tensor(q), Tensor(k), Tensor(v)
+    with Tape():
+        out = ag.causal_attn(tq, tk, tv, att_scale)
+    ref_out, ref_gq, ref_gk, ref_gv = _reference_attn(q, k, v, att_scale, g_out)
+    gq, gk, gv = out.backward_fn(g_out)
+    for got, ref in ((out.data, ref_out), (gq, ref_gq), (gk, ref_gk),
+                     (gv, ref_gv)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("groups", [1, 2])
+def test_causal_attn_gradients_match_finite_differences(groups, fd_check):
+    q, k, v = (Tensor(a.copy()) for a in _attn_inputs(groups, 5, np.float64))
+    weights = Tensor(np.random.default_rng(3).standard_normal(q.shape))
+
+    def loss_of():
+        return ag.tsum(ag.mul(ag.causal_attn(q, k, v, 0.5), weights))
+
+    with Tape() as tape:
+        grads = ag.backward(loss_of(), tape)
+    fd_check({"q": q, "k": k, "v": v}, lambda: loss_of().item(), grads,
+             samples_per_param=12)
+
+
+@pytest.mark.parametrize("j", [1, 4, 6])
+def test_causal_attn_is_causal(j):
+    q, k, v = _attn_inputs(2, 7, np.float64)
+    out = ag.causal_attn(q, k, v, 0.5).data
+    k2, v2 = k.copy(), v.copy()
+    k2[:, :, j:] += 3.0
+    v2[:, :, j:] -= 5.0
+    moved = ag.causal_attn(q, k2, v2, 0.5).data
+    assert out[:, :, :j].tobytes() == moved[:, :, :j].tobytes()
+    assert not np.array_equal(out[:, :, j:], moved[:, :, j:])
+
+
+def test_causal_attn_rejects_ungrouped_heads():
+    q, k, v = _attn_inputs(1, 3, np.float64, kv_heads=3)
+    with pytest.raises(ShapeError):
+        ag.causal_attn(q[:, :2], k, v, 0.5)
+
+
+def test_backward_consumes_the_tape():
+    rng = np.random.default_rng(4)
+    w, x = Tensor(rng.standard_normal((3, 3))), Tensor(rng.standard_normal((1, 3)))
+    with Tape() as tape:
+        hidden = ag.matmul(x, w)
+        loss = ag.tsum(ag.mul(hidden, hidden))
+        recorded = list(tape.nodes)
+        grads = ag.backward(loss, tape)
+    assert tape.nodes == []
+    assert set(grads) == {w, x}
+    assert not any(node in grads for node in recorded)
+    assert all(node.parents == () and node.backward_fn is None
+               for node in recorded)
+    np.testing.assert_allclose(grads[w], 2 * x.data.T @ hidden.data)
+    with pytest.raises(ContractError, match="consumed"):
+        ag.backward(loss, tape)
