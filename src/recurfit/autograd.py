@@ -49,10 +49,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def dtype(self):
         return self.data.dtype
 
@@ -61,25 +57,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
-
-    # arithmetic sugar; heavy lifting lives in the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -165,8 +142,6 @@ def backward(loss: Tensor, tape: Tape) -> dict:
         if grad is not None and node.backward_fn is not None:
             parent_grads = node.backward_fn(grad)
             for parent, pg in zip(node.parents, parent_grads):
-                if pg is None:
-                    continue
                 acc = grads.get(parent)
                 grads[parent] = pg if acc is None else acc + pg
         node.parents = ()
@@ -203,8 +178,6 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    if not isinstance(b, Tensor) and np.isscalar(b):
-        return scale(a, b)
     a, b = _wrap(a), _wrap(b)
     data = a.data * b.data
     return _make(data, (a, b),
@@ -426,31 +399,18 @@ def token_nll(logits: np.ndarray, targets: np.ndarray) -> tuple:
     return lse - picked, exp
 
 
-def cross_entropy_mean(logits, targets: np.ndarray,
-                       mask: np.ndarray | None = None) -> Tensor:
-    """Mean next-token cross entropy; `mask` selects counted positions."""
+def cross_entropy_mean(logits, targets: np.ndarray) -> Tensor:
+    """Mean next-token cross entropy over every position."""
     logits = _wrap(logits)
     targets = np.asarray(targets)
     per_token, exp = token_nll(logits.data, targets)
-    if mask is None:
-        count = per_token.size
-        loss = per_token.sum() / count
-    else:
-        count = max(int(mask.sum()), 1)
-        loss = (per_token * mask).sum() / count
+    count = per_token.size
+    loss = per_token.sum() / count
 
     def bwd(g):
         probs = exp / exp.sum(axis=-1, keepdims=True)
         np.subtract.at(probs, (*np.indices(targets.shape), targets), 1.0)
-        if mask is not None:
-            probs = probs * mask[..., None]
         return (probs * (g / count),)
 
     return _make(np.asarray(loss), (logits,), bwd)
-
-
-def draw_normal(stream, shape, mean: float, std: float,
-                dtype=np.float64) -> Tensor:
-    """i.i.d. normal leaf tensor from a deterministic stream."""
-    return Tensor(stream.normal(shape, mean, std, dtype=dtype))
 

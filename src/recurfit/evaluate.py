@@ -27,6 +27,7 @@ from .random import RandomStream
 from .surgery import count_fixed_params, count_parameters
 
 DEFAULT_RECURRENCES = (1, 2, 4, 8, 16, 32)
+MICRO_BATCH = 8
 
 
 @dataclass
@@ -70,8 +71,7 @@ def _sweep_logits(model, inputs, recurrences, s0_stream):
 
 
 def _loss_and_accuracy(model, dataset_id: str, recurrences, s0_seed: int,
-                       n_items: int, data_seed: int,
-                       micro_batch: int = 8) -> dict:
+                       n_items: int, data_seed: int) -> dict:
     """r -> (loss, accuracy) on held-out items for each distinct r.
 
     Sums run over micro-batches in order, so each r's figures do not
@@ -85,8 +85,8 @@ def _loss_and_accuracy(model, dataset_id: str, recurrences, s0_seed: int,
     mask = answer_mask(dataset_id, targets)
     sums: dict = {}  # r -> [nll, tokens, answer hits, answer positions]
     with ag.no_record():
-        for b, lo in enumerate(range(0, inputs.shape[0], micro_batch)):
-            sl = slice(lo, lo + micro_batch)
+        for b, lo in enumerate(range(0, inputs.shape[0], MICRO_BATCH)):
+            sl = slice(lo, lo + MICRO_BATCH)
             stream = RandomStream(s0_seed, f"eval_s0/{b}")
             for r, logits in _sweep_logits(model, inputs[sl], recurrences,
                                            stream):

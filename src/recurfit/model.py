@@ -272,8 +272,8 @@ def forward_fixed_hidden(model: FixedModel, tokens) -> list:
 
 def sample_initial_state(cfg: ModelConfig, batch: int, n: int,
                          stream: RandomStream, dtype=np.float64) -> Tensor:
-    return ag.draw_normal(stream, (batch, n, cfg.hidden), 0.0, cfg.sigma_s0,
-                          dtype=dtype)
+    return Tensor(stream.normal((batch, n, cfg.hidden), 0.0, cfg.sigma_s0,
+                                dtype=dtype))
 
 
 def prelude_forward(model: RecurrentModel, tokens: np.ndarray) -> Tensor:
@@ -290,8 +290,7 @@ def _coda_logits(model: RecurrentModel, s: Tensor) -> Tensor:
     return _unembed_logits(run_blocks(s, model.coda, model.config), model)
 
 
-def forward_recurrent(model: RecurrentModel, tokens, run: RecurrenceRun,
-                      initial_state: Tensor | None = None) -> Tensor:
+def forward_recurrent(model: RecurrentModel, tokens, run: RecurrenceRun) -> Tensor:
     """Recurrent forward under truncated backprop.
 
     The first `run.detach_boundary` iterations run under `ag.no_record()`:
@@ -303,11 +302,9 @@ def forward_recurrent(model: RecurrentModel, tokens, run: RecurrenceRun,
     """
     tokens = _check_tokens(tokens, model.config)
     e = prelude_forward(model, tokens)
-    s = initial_state
-    if s is None:
-        s = sample_initial_state(model.config, *tokens.shape,
-                                 run.s0_stream or RandomStream(0, "s0"),
-                                 dtype=model.embed.dtype)
+    s = sample_initial_state(model.config, *tokens.shape,
+                             run.s0_stream or RandomStream(0, "s0"),
+                             dtype=model.embed.dtype)
     with ag.no_record():
         for _ in range(run.detach_boundary):
             s = recurrent_step(model, s, e)

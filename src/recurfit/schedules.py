@@ -84,10 +84,6 @@ class WsdSpec:
     stable_steps: int = 0
     decay_steps: int = 0
 
-    @property
-    def total_steps(self) -> int:
-        return self.warmup_steps + self.stable_steps + self.decay_steps
-
 
 def lr_at(wsd: WsdSpec, step: int) -> float:
     """Warmup-stable-decay: linear 0->peak, hold, linear peak->0."""

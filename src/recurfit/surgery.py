@@ -49,13 +49,6 @@ class SurgeryPlan:
                 "recurrent_layers": list(self.recurrent_layers),
                 "coda_layers": list(self.coda_layers)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SurgeryPlan":
-        p, r, c = d["tuple"]
-        return make_plan((p, r, c), d["donor_depth"],
-                         lists=(d["prelude_layers"], d["recurrent_layers"],
-                                d["coda_layers"]))
-
 
 def make_plan(plan_tuple: tuple, donor_depth: int,
               lists: tuple | None = None) -> SurgeryPlan:

@@ -88,6 +88,14 @@ def test_no_record_restores_tape_after_exception():
     assert ag.active_tape() is None
 
 
+def test_nested_tapes_rejected():
+    with Tape():
+        with pytest.raises(ContractError, match="nested"):
+            with Tape():
+                pass
+    assert ag.active_tape() is None
+
+
 def test_tape_topological_order():
     a, b = Tensor(np.ones(2)), Tensor(np.ones(2))
     with Tape() as tape:
@@ -149,28 +157,6 @@ def test_elementwise_ops_match_finite_differences(op, shapes, fd_check):
         loss = ag.tmean(apply_op())
         grads = ag.backward(loss, tape)
     fd_check({"a": a, "b": b}, loss_fn, grads, samples_per_param=6)
-
-
-def test_draw_normal_zero_std_gives_mean():
-    t = ag.draw_normal(RandomStream(0, "x"), (4, 4), mean=2.5, std=0.0)
-    np.testing.assert_array_equal(t.data, np.full((4, 4), 2.5))
-
-
-def test_draw_normal_negative_std_rejected():
-    with pytest.raises(ContractError):
-        ag.draw_normal(RandomStream(0, "x"), (2,), 0.0, -1.0)
-
-
-def test_draw_normal_statistics():
-    t = ag.draw_normal(RandomStream(7, "stats"), (100_000,), 0.0, 1.0)
-    assert abs(t.data.mean()) < 4 / np.sqrt(100_000)
-    assert abs(t.data.std() - 1.0) < 0.02
-
-
-def test_draw_normal_deterministic():
-    a = ag.draw_normal(RandomStream(3, "lbl"), (16,), 0.0, 1.0)
-    b = ag.draw_normal(RandomStream(3, "lbl"), (16,), 0.0, 1.0)
-    np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_stream_counter_advances():

@@ -96,6 +96,8 @@ def test_validate_phases_accepts_partition():
      "negative"),
     (lambda p: p[0].update(end=0), "empty"),
     (lambda p: p[1].pop("end"), "missing-key"),
+    (lambda p: p.clear(), "no-phase"),
+    (lambda p: p[0].update(datasets=["plain", "copy"]), "length"),
 ])
 def test_validate_phases_rejects_bad_partitions(mutate, field):
     phases = two_phase(100)

@@ -24,6 +24,9 @@ def test_config_invariants():
     with pytest.raises(ContractError):
         ModelConfig(vocab_size=10, hidden=16, n_query_heads=3, n_kv_heads=2,
                     head_dim=8, ffn_width=8)  # hidden mismatch too
+    with pytest.raises(ContractError, match="divisible"):
+        ModelConfig(vocab_size=10, hidden=24, n_query_heads=3, n_kv_heads=2,
+                    head_dim=8, ffn_width=8)
     with pytest.raises(ContractError):
         ModelConfig(vocab_size=10, hidden=16, n_query_heads=2, n_kv_heads=1,
                     head_dim=8, ffn_width=8, context_length=0)
@@ -281,6 +284,31 @@ def test_recurrent_gradients_match_finite_differences(tiny_recurrent, fd_check):
             forward_recurrent(tiny_recurrent, tokens, run), targets)
         grad_map = ag.backward(loss, tape)
     fd_check(params, loss_fn, grad_map, rel_tol=1e-4, samples_per_param=3)
+
+
+@pytest.mark.parametrize("variant", [
+    {"tie_embeddings": True}, {"qk_norm": True}, {"post_norm": True},
+    {"tie_embeddings": True, "qk_norm": True, "post_norm": True}],
+    ids=["tied", "qk_norm", "post_norm", "all"])
+def test_model_variant_gradients_match_finite_differences(tiny_cfg, fd_check,
+                                                          variant):
+    """The tied unembed (a transposed embed), the QK-norm gains and the
+    post-norm residuals differentiate correctly. The window covers all r
+    iterations, so autograd returns the full gradient that finite
+    differences measure."""
+    cfg = dataclasses.replace(tiny_cfg, **variant)
+    model = init_recurrent(cfg, (1, 1, 1), RandomStream(0, "init"))
+    tokens, targets = np.array([[1, 2, 3]]), np.array([[2, 3, 4]])
+
+    def loss():
+        run = RecurrenceRun(3, 3, RandomStream(9, "s0"))
+        return ag.cross_entropy_mean(forward_recurrent(model, tokens, run),
+                                     targets)
+
+    with Tape() as tape:
+        grad_map = ag.backward(loss(), tape)
+    fd_check(model.params(), lambda: loss().item(), grad_map, rel_tol=1e-4,
+             samples_per_param=3)
 
 
 def test_init_scaled_deterministic_and_emb_scale(tiny_cfg):

@@ -136,6 +136,16 @@ def test_adamw_star_rms_clip():
     assert update[1] == 0.0
 
 
+def test_adamw_star_rms_clip_rescales_to_threshold():
+    params = make_params({"w": [0.0, 0.0]})
+    opt = AdamWStar(clip_threshold=0.5, weight_decay=0.0)
+    # per-element updates (1, 0) have RMS 1/sqrt(2) > 0.5: scaled down to 0.5
+    opt.step(params, {"w": np.array([100.0, 0.0])}, lr=1.0)
+    update = -params["w"].data
+    assert math.sqrt(np.mean(update ** 2)) == pytest.approx(0.5, rel=1e-12)
+    assert update[1] == 0.0
+
+
 def test_adamw_star_matches_adamw_in_limit():
     """With huge clip threshold, zero decay, and tiny epsilon removed by
     well-scaled grads, the two variants agree closely."""
@@ -195,6 +205,14 @@ def test_muon_zero_grads_only_decay():
     params = make_params({"w": np.ones((2, 2))})
     Muon(weight_decay=0.1).step(params, {"w": np.zeros((2, 2))}, lr=0.5)
     assert params["w"].data == pytest.approx(np.ones((2, 2)) * (1 - 0.5 * 0.1))
+
+
+def test_muon_skips_params_without_grads():
+    params = make_params({"w": np.ones((2, 2)), "frozen": np.ones((2, 2))})
+    opt = Muon()
+    opt.step(params, {"w": np.eye(2)}, lr=0.1)
+    assert np.array_equal(params["frozen"].data, np.ones((2, 2)))
+    assert set(opt.buffers) == {"w"}
 
 
 def test_muon_update_has_near_uniform_singular_values():
@@ -273,3 +291,5 @@ def test_build_optimizer():
     assert build_optimizer("adamw", {"beta2": 0.9}).beta2 == 0.9
     with pytest.raises(ContractError):
         build_optimizer("sgd")
+    with pytest.raises(ContractError, match="clip threshold"):
+        build_optimizer("adamw_star", {"clip_threshold": 0.0})

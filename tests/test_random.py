@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from recurfit.errors import ContractError
 from recurfit.random import RandomStream
 
 
@@ -46,3 +47,25 @@ def test_interleaved_streams_do_not_disturb_each_other():
             _, draw, oracle = DRAWS[(counter + shift) % len(DRAWS)]
             assert np.array_equal(draw(stream),
                                   oracle(fresh(3, label, counter)))
+
+
+def test_normal_zero_std_gives_mean():
+    draw = RandomStream(0, "x").normal((4, 4), mean=2.5, std=0.0)
+    np.testing.assert_array_equal(draw, np.full((4, 4), 2.5))
+
+
+def test_normal_negative_std_rejected():
+    with pytest.raises(ContractError):
+        RandomStream(0, "x").normal((2,), 0.0, -1.0)
+
+
+def test_normal_statistics():
+    draw = RandomStream(7, "stats").normal((100_000,), 0.0, 1.0)
+    assert abs(draw.mean()) < 4 / np.sqrt(100_000)
+    assert abs(draw.std() - 1.0) < 0.02
+
+
+def test_normal_deterministic():
+    a = RandomStream(3, "lbl").normal((16,), 0.0, 1.0)
+    b = RandomStream(3, "lbl").normal((16,), 0.0, 1.0)
+    np.testing.assert_array_equal(a, b)

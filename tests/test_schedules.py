@@ -130,6 +130,17 @@ def test_sampler_rejects_bad_mean():
                           RandomStream(0, "d"))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: DepthDistribution(mean=4, spread=-0.1),
+    lambda: CurriculumSpec(target=0),
+    lambda: curriculum_mean(CurriculumSpec(), -1),
+    lambda: lr_at(WsdSpec(peak=1e-3), -1),
+], ids=["negative-spread", "zero-target", "curriculum-step", "lr-step"])
+def test_schedule_contract_errors(call):
+    with pytest.raises(ContractError):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # window schedule
 

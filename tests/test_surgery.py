@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from recurfit.checkpoint import Checkpoint
-from recurfit.errors import FormatError, PlanError
+from recurfit.errors import ContractError, FormatError, PlanError
 from recurfit.model import (ModelConfig, RecurrenceRun, forward_fixed,
                             forward_recurrent, init_fixed, init_recurrent)
 from recurfit.random import RandomStream
 from recurfit.surgery import (apply_surgery, block_influence_scores,
                               count_fixed_params, count_parameters, make_plan,
                               model_from_checkpoint, model_to_checkpoint,
-                              pruned_donor, SurgeryPlan)
+                              pruned_donor)
 
 TINYLLAMA = ModelConfig(vocab_size=32000, hidden=2048, n_query_heads=32,
                         n_kv_heads=4, head_dim=64, ffn_width=5632)
@@ -66,12 +66,8 @@ def test_plan_errors():
         make_plan((1, 1, 1), 4, lists=([0], [5], [3]))  # out of range
     with pytest.raises(PlanError):
         make_plan((2, 1, 1), 6, lists=([3, 1], [4], [5]))  # unsorted
-
-
-def test_plan_roundtrip_dict():
-    plan = make_plan((2, 3, 2), 10)
-    again = SurgeryPlan.from_dict(plan.to_dict())
-    assert again == plan
+    with pytest.raises(PlanError, match="length"):
+        make_plan((1, 1, 1), 4, lists=([0, 1], [2], [3]))  # too long
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +271,29 @@ def test_surgery_adapter_noise(toy_donor):
     ident[h:, :] = np.eye(h)
     delta = adapter - ident
     assert 0 < np.abs(delta).max() < 1e-2
+
+
+@pytest.mark.parametrize("call,error,needle", [
+    (lambda d: count_parameters(TINYLLAMA, (4, 8, 4), convention="bogus"),
+     ContractError, "convention"),
+    (lambda d: model_from_checkpoint(
+        Checkpoint(dict(d.metadata, kind="hybrid"), d.tensors)),
+     FormatError, "kind"),
+    (lambda d: apply_surgery(
+        apply_surgery(d, make_plan((1, 2, 1), 6), noise_std=0.0),
+        make_plan((1, 2, 1), 6)), FormatError, "fixed-depth"),
+    (lambda d: apply_surgery(d, make_plan((1, 2, 1), 6)),
+     ContractError, "requires a random stream"),
+    (lambda d: apply_surgery(d, make_plan((1, 2, 1), 6), "scaled-random"),
+     ContractError, "requires a stream"),
+    (lambda d: block_influence_scores(model_from_checkpoint(d),
+                                      np.zeros((1, 0), dtype=np.int64)),
+     ContractError, "nonempty"),
+], ids=["convention", "kind", "recurrent-donor", "noise-without-stream",
+        "scaled-random-without-stream", "empty-calibration"])
+def test_surgery_contract_errors(toy_donor, call, error, needle):
+    with pytest.raises(error, match=needle):
+        call(toy_donor)
 
 
 # ---------------------------------------------------------------------------

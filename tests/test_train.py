@@ -10,7 +10,7 @@ import pytest
 import recurfit.train as train_mod
 from recurfit.checkpoint import Checkpoint
 from recurfit.config import RunConfig
-from recurfit.errors import DivergenceError, FormatError
+from recurfit.errors import DivergenceError, FormatError, NonFiniteError
 from recurfit.evaluate import val_loss
 from recurfit.flops import flops_fixed, flops_for_step
 from recurfit.model import ModelConfig, init_fixed
@@ -207,6 +207,26 @@ def test_donor_without_depth_is_format_error(tmp_path):
                                      donor_checkpoint=str(path)))
 
 
+def test_training_from_donor_equals_training_from_its_surgery(tmp_path):
+    """`donor_checkpoint` is surgery with the run's adapter settings and an
+    `adapter` stream of the run seed, then training as from
+    `init_checkpoint`."""
+    donor = tmp_path / "donor.rfck"
+    _fixed_donor().save(donor)
+    common = dict(optimizer="muon", adapter_init="scaled-random")
+    from_donor = tiny_run(tmp_path / "from_donor", 3,
+                          donor_checkpoint=str(donor), **common)
+    cut = tmp_path / "cut.rfck"
+    apply_surgery(Checkpoint.load(donor), make_plan((1, 1, 1), 3),
+                  "scaled-random", RandomStream(from_donor.seed, "adapter"),
+                  from_donor.adapter_noise_std).save(cut)
+    from_cut = tiny_run(tmp_path / "from_cut", 3, init_checkpoint=str(cut),
+                        **common)
+    a, b = train(from_donor), train(from_cut)
+    for key in ("metrics", "final_checkpoint"):
+        assert Path(a[key]).read_bytes() == Path(b[key]).read_bytes(), key
+
+
 # ---------------------------------------------------------------------------
 # divergence handling
 
@@ -236,6 +256,23 @@ def test_nonfinite_step_skips_update(tmp_path, monkeypatch):
     summary = train(cfg)
     rows = read_metrics(summary["metrics"])
     assert [int(r[8]) for r in rows[1:]] == [1, 0]
+
+
+def test_nonfinite_gradient_norm_skips_update(tmp_path, monkeypatch):
+    """A finite loss whose gradient norm is not finite marks the row and
+    leaves the parameters as they were."""
+    def nonfinite_norm(grads, max_norm):
+        raise NonFiniteError("global gradient norm is inf")
+
+    monkeypatch.setattr(train_mod, "clip_global_norm", nonfinite_norm)
+    cfg = tiny_run(tmp_path / "run", 2)
+    summary = train(cfg)
+    rows = read_metrics(summary["metrics"])[1:]
+    assert [int(r[8]) for r in rows] == [1, 1]
+    assert all(math.isfinite(float(r[1])) for r in rows)
+    ckpt = Checkpoint.load(summary["final_checkpoint"])
+    for name, p in build_initial_model(cfg).params().items():
+        assert ckpt.tensors[name].tobytes() == p.data.tobytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,131 @@
+"""Line coverage of src/recurfit with the standard library only.
+
+Run a Python command in this process under `sys.settrace`, recording the
+lines it executes in frames whose code lives under src/recurfit, and
+merge them into a JSON file of hits:
+
+    python3 tools/linecov.py -- -m pytest -q
+    python3 tools/linecov.py -- bench/run.py --workload deep --seconds 5 --trace 1
+
+`--report` prints, per file, the executable lines (from every code
+object's `co_lines()`) that no recorded run executed. Code run in a
+child process is not traced. Tracing slows Python-bound code about
+twofold, so wall-clock bounds in the traced command may fail.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import runpy
+import sys
+import threading
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "recurfit"
+
+
+def trace_command(command: list) -> tuple:
+    """Run `command` (`-m module args...` or `script args...`) in-process;
+    return (exit code, {absolute file name: set of line numbers})."""
+    prefix = str(PACKAGE) + "/"
+    hits: dict = {}
+
+    def local(frame, event, arg):
+        if event == "line":
+            hits[frame.f_code.co_filename].add(frame.f_lineno)
+        return local
+
+    def on_call(frame, event, arg):
+        name = frame.f_code.co_filename
+        if not name.startswith(prefix):
+            return None
+        hits.setdefault(name, set())
+        return local
+
+    # sys.path[0] and sys.argv as `python -m module ...` or `python script ...`
+    if command[0] == "-m":
+        sys.path[0] = str(Path.cwd())
+        sys.argv = command[1:]
+        run = lambda: runpy.run_module(command[1], run_name="__main__",
+                                       alter_sys=True)
+    else:
+        sys.path[0] = str(Path(command[0]).resolve().parent)
+        sys.argv = list(command)
+        run = lambda: runpy.run_path(command[0], run_name="__main__")
+    code = 0
+    threading.settrace(on_call)
+    sys.settrace(on_call)
+    try:
+        run()
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+    return code, hits
+
+
+def executable_lines(source: str, filename: str) -> set:
+    """Line numbers that carry bytecode in the module or any code object
+    nested in it."""
+    lines, stack = set(), [compile(source, filename, "exec")]
+    while stack:
+        code = stack.pop()
+        lines.update(line for _, _, line in code.co_lines() if line)
+        stack.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
+    return lines
+
+
+def merge(data_path: Path, hits: dict) -> None:
+    merged = json.loads(data_path.read_text()) if data_path.exists() else {}
+    for name, lines in hits.items():
+        key = str(Path(name).relative_to(PACKAGE))
+        merged[key] = sorted(set(merged.get(key, [])) | lines)
+    data_path.write_text(json.dumps(merged, indent=1, sort_keys=True) + "\n")
+
+
+def report(data_path: Path) -> None:
+    """Print each file's never-executed lines and their count."""
+    hits = json.loads(data_path.read_text())
+    missed_total = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        key = str(path.relative_to(PACKAGE))
+        source = path.read_text()
+        missed = sorted(executable_lines(source, str(path))
+                        - set(hits.get(key, [])))
+        missed_total += len(missed)
+        lines = source.splitlines()
+        for line in missed:
+            print(f"{key}:{line}: {lines[line - 1].strip()}")
+    print(f"{missed_total} executable lines never ran")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog="linecov", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--data", default="linecov.json",
+                        help="JSON file of hits to merge into and report from")
+    parser.add_argument("--report", action="store_true",
+                        help="print the executable lines no run executed")
+    parser.add_argument("command", nargs=argparse.REMAINDER,
+                        help="after --: -m module args, or script args")
+    args = parser.parse_args(argv)
+    command = args.command[1:] if args.command[:1] == ["--"] else args.command
+    data_path = Path(args.data)
+    if command:
+        code, hits = trace_command(command)
+        merge(data_path, hits)
+        if code:
+            print(f"linecov: traced command exited {code}", file=sys.stderr)
+            return code
+    if args.report:
+        report(data_path)
+    elif not command:
+        parser.error("give a command to trace, --report, or both")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
