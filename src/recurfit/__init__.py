@@ -1,9 +1,2 @@
 """recurfit: retrofit depth recurrence into fixed-depth decoder
 transformers, and train/evaluate the result at a desk scale."""
-
-from .autograd import Tape, Tensor, backward  # noqa: F401
-from .model import (ModelConfig, RecurrenceRun, RecurrentModel,  # noqa: F401
-                    forward_fixed, forward_recurrent)
-from .surgery import SurgeryPlan, apply_surgery, count_parameters, make_plan  # noqa: F401
-
-__version__ = "0.1.0"

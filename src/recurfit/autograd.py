@@ -1,7 +1,8 @@
 """Dense-tensor numerics with a reverse-mode tape.
 
 numpy holds the values; each op records its parents and a backward
-closure on the active :class:`Tape`. There is deliberately no autograd
+closure on the active :class:`Tape`. Ops take :class:`Tensor` operands
+only; a constant is a Tensor leaf. There is deliberately no autograd
 graph without a tape: calling ops outside a ``with Tape()`` block, or
 inside a ``with no_record()`` block, is plain (and faster) numpy. Fused
 ops (rms_norm, causal_attn, cross_entropy_mean, ...) keep the op count
@@ -39,8 +40,8 @@ class Tensor:
 
     __slots__ = ("data", "parents", "backward_fn")
 
-    def __init__(self, data, dtype=None):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data):
+        self.data = np.asarray(data)
         self.parents: tuple = ()
         self.backward_fn = None
 
@@ -100,10 +101,6 @@ def no_record():
         _ACTIVE_TAPE = suspended
 
 
-def _wrap(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
-
-
 def _make(data: np.ndarray, parents, backward_fn) -> Tensor:
     if _CHECK_FINITE and not np.isfinite(data).all():
         raise NonFiniteError("op produced non-finite values")
@@ -139,7 +136,7 @@ def backward(loss: Tensor, tape: Tape) -> dict:
     while nodes:
         node = nodes.pop()
         grad = grads.pop(node, None)
-        if grad is not None and node.backward_fn is not None:
+        if grad is not None:
             parent_grads = node.backward_fn(grad)
             for parent, pg in zip(node.parents, parent_grads):
                 acc = grads.get(parent)
@@ -163,35 +160,30 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # elementwise / structural ops
 
 
-def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
     return _make(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape),
                                           _unbroadcast(g, b.data.shape)))
 
 
-def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
     return _make(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape),
                                           _unbroadcast(-g, b.data.shape)))
 
 
-def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
     return _make(data, (a, b),
                  lambda g: (_unbroadcast(g * b.data, a.data.shape),
                             _unbroadcast(g * a.data, b.data.shape)))
 
 
-def scale(a, factor: float) -> Tensor:
-    a = _wrap(a)
+def scale(a: Tensor, factor: float) -> Tensor:
     return _make(a.data * factor, (a,), lambda g: (g * factor,))
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
         raise ShapeError(f"matmul inner extents differ: {a.data.shape} @ {b.data.shape}")
     data = a.data @ b.data
@@ -204,43 +196,37 @@ def matmul(a, b) -> Tensor:
     return _make(data, (a, b), bwd)
 
 
-def reshape(a, shape) -> Tensor:
-    a = _wrap(a)
+def reshape(a: Tensor, shape) -> Tensor:
     old = a.data.shape
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
-def transpose(a, axes) -> Tensor:
-    a = _wrap(a)
+def transpose(a: Tensor, axes) -> Tensor:
     inverse = np.argsort(axes)
     return _make(a.data.transpose(axes), (a,),
                  lambda g: (g.transpose(inverse),))
 
 
-def concat_last(a, b) -> Tensor:
+def concat_last(a: Tensor, b: Tensor) -> Tensor:
     """Concatenate along the last axis (the [state ; injected] join)."""
-    a, b = _wrap(a), _wrap(b)
     cut = a.data.shape[-1]
     data = np.concatenate([a.data, b.data], axis=-1)
     return _make(data, (a, b), lambda g: (g[..., :cut], g[..., cut:]))
 
 
-def tsum(a) -> Tensor:
-    a = _wrap(a)
+def tsum(a: Tensor) -> Tensor:
     shape = a.data.shape
     return _make(np.asarray(a.data.sum()), (a,),
                  lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
-def tmean(a) -> Tensor:
-    a = _wrap(a)
+def tmean(a: Tensor) -> Tensor:
     shape, size = a.data.shape, a.data.size
     return _make(np.asarray(a.data.mean()), (a,),
                  lambda g: (np.broadcast_to(g / size, shape).copy(),))
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
-    ids = np.asarray(ids)
     data = table.data[ids]
 
     def bwd(g):
@@ -255,9 +241,8 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
 # fused neural-net ops
 
 
-def rms_norm(x, gain, eps: float) -> Tensor:
+def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
     """y = x / rms(x) * gain over the last axis."""
-    x, gain = _wrap(x), _wrap(gain)
     inv = 1.0 / np.sqrt(np.mean(x.data ** 2, axis=-1, keepdims=True) + eps)
     data = x.data * inv * gain.data
 
@@ -271,9 +256,8 @@ def rms_norm(x, gain, eps: float) -> Tensor:
     return _make(data, (x, gain), bwd)
 
 
-def silu_glu(gate, up) -> Tensor:
+def silu_glu(gate: Tensor, up: Tensor) -> Tensor:
     """SwiGLU activation: silu(gate) * up."""
-    gate, up = _wrap(gate), _wrap(up)
     sig = 1.0 / (1.0 + np.exp(-gate.data))
     s = gate.data * sig
     data = s * up.data
@@ -285,30 +269,27 @@ def silu_glu(gate, up) -> Tensor:
     return _make(data, (gate, up), bwd)
 
 
-def split_heads(x, n_heads: int, head_dim: int) -> Tensor:
+def split_heads(x: Tensor, n_heads: int, head_dim: int) -> Tensor:
     """(B, n, H*d) -> (B, H, n, d)."""
-    x = _wrap(x)
     b, n, _ = x.data.shape
     data = x.data.reshape(b, n, n_heads, head_dim).transpose(0, 2, 1, 3)
     return _make(data, (x,),
                  lambda g: (g.transpose(0, 2, 1, 3).reshape(b, n, -1),))
 
 
-def merge_heads(x) -> Tensor:
+def merge_heads(x: Tensor) -> Tensor:
     """(B, H, n, d) -> (B, n, H*d)."""
-    x = _wrap(x)
     b, h, n, d = x.data.shape
     data = x.data.transpose(0, 2, 1, 3).reshape(b, n, h * d)
     return _make(data, (x,),
                  lambda g: (g.reshape(b, n, h, d).transpose(0, 2, 1, 3),))
 
 
-def expand_kv(x, groups: int) -> Tensor:
+def expand_kv(x: Tensor, groups: int) -> Tensor:
     """Repeat kv heads so each query-head group sees its kv head.
 
     Unused: `causal_attn` takes kv heads as they are. Kept only because
     `bench/tracer.py` wraps every name in its op list."""
-    x = _wrap(x)
     if groups == 1:
         return x
     b, hk, n, d = x.data.shape
@@ -317,9 +298,8 @@ def expand_kv(x, groups: int) -> Tensor:
                  lambda g: (g.reshape(b, hk, groups, n, d).sum(axis=2),))
 
 
-def rope_rotate(x, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Rotary position embedding on (B, H, n, d); cos/sin are (n, d/2)."""
-    x = _wrap(x)
     half = x.data.shape[-1] // 2
     x1, x2 = x.data[..., :half], x.data[..., half:]
     data = np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
@@ -345,7 +325,7 @@ def _causal_masks(n: int) -> tuple:
     return hit
 
 
-def causal_attn(q, k, v, att_scale: float) -> Tensor:
+def causal_attn(q: Tensor, k: Tensor, v: Tensor, att_scale: float) -> Tensor:
     """softmax(q kᵀ · scale + causal mask) v with grouped-query heads.
 
     q is (B, H, n, d); k and v are (B, Hk, n, d) with H a multiple of Hk,
@@ -353,7 +333,6 @@ def causal_attn(q, k, v, att_scale: float) -> Tensor:
     broadcast over their query group, never copied; backward sums each
     group's kv gradient over the group axis.
     """
-    q, k, v = _wrap(q), _wrap(k), _wrap(v)
     b, h, n, d = q.data.shape
     hk = k.data.shape[1]
     if h % hk or k.data.shape != v.data.shape:
@@ -399,9 +378,8 @@ def token_nll(logits: np.ndarray, targets: np.ndarray) -> tuple:
     return lse - picked, exp
 
 
-def cross_entropy_mean(logits, targets: np.ndarray) -> Tensor:
+def cross_entropy_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean next-token cross entropy over every position."""
-    logits = _wrap(logits)
     targets = np.asarray(targets)
     per_token, exp = token_nll(logits.data, targets)
     count = per_token.size

@@ -3,8 +3,8 @@
 Subcommands: surgery, train, eval, flops, schedule-dump, layer-scores.
 Every run directory receives the fully resolved config so artifacts are
 reproducible from the directory alone. Exit codes: 0 success, 2 config
-error, 3 data/input error, 4 divergence abort, 5 checkpoint/plan format
-error, 1 anything else.
+error, 3 data/input error, 4 divergence abort or non-finite values,
+5 checkpoint/plan format error, 1 anything else.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .checkpoint import Checkpoint
 from .config import load_config, resolved_config_json
 from .data import eval_batch
 from .errors import (ConfigError, ContractError, DivergenceError, FormatError,
-                     InputError, PlanError)
+                     InputError, NonFiniteError, PlanError)
 from .evaluate import DEFAULT_RECURRENCES, eval_sweep
 from .flops import flops_fixed, flops_for_step, recurrent_split
 from .random import RandomStream
@@ -40,8 +40,11 @@ EXIT_DIVERGENCE = 4
 EXIT_FORMAT = 5
 
 
-def _out_root() -> Path:
-    return Path(os.environ.get("RECURFIT_OUT_ROOT", "."))
+def _out_path(name: str) -> Path:
+    """`name` under RECURFIT_OUT_ROOT, with its parent directory made."""
+    path = Path(os.environ.get("RECURFIT_OUT_ROOT", ".")) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _int_list(text: str) -> list:
@@ -63,11 +66,11 @@ def cmd_surgery(args) -> int:
     plan = make_plan(_parse_tuple(args.plan_tuple), donor_depth(donor))
     result = apply_surgery(donor, plan, args.adapter_init,
                            RandomStream(args.seed, "adapter"), args.noise_std)
-    out = _out_root() / args.out
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out_path(args.out)
+    plan_file = _out_path(args.plan_file) if args.plan_file else None
     result.save(out)
-    if args.plan_file:
-        Path(args.plan_file).write_text(json.dumps(plan.to_dict(), indent=2))
+    if plan_file:
+        plan_file.write_text(json.dumps(plan.to_dict(), indent=2))
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -87,7 +90,7 @@ def cmd_eval(args) -> int:
                         s0_seed=args.s0_seed, n_items=args.items,
                         data_seed=args.data_seed)
     if args.out:
-        result.to_csv(_out_root() / args.out)
+        result.to_csv(_out_path(args.out))
     print(result.summary())
     return EXIT_OK
 
@@ -119,7 +122,7 @@ def cmd_schedule_dump(args) -> int:
     rows = [(step, curriculum_mean(cfg.curriculum, step),
              window_at(cfg.window, step), f"{lr_at(cfg.lr, step):.10g}")
             for step in range(steps)]
-    target = open(_out_root() / args.out, "w", newline="") if args.out else sys.stdout
+    target = open(_out_path(args.out), "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(target)
         writer.writerow(["step", "mean", "window", "lr"])
@@ -206,8 +209,8 @@ def main(argv=None) -> int:
     except (InputError, ContractError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
+    except (DivergenceError, NonFiniteError) as exc:
+        print(f"non-finite: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except (FormatError, PlanError, FileNotFoundError) as exc:
         print(f"format error: {exc}", file=sys.stderr)

@@ -14,12 +14,17 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .data import validate_phases
 from .errors import ConfigError, ContractError
 from .model import ModelConfig
 from .optim import build_optimizer
 from .random import RandomStream
 from .schedules import CurriculumSpec, WindowSchedule, WsdSpec
 from .surgery import adapter_weights
+
+
+_LOWER_BOUNDS = {"micro_batch": 1, "global_batch": 1, "metric_interval": 1,
+                 "total_steps": 0, "checkpoint_interval": 0, "depth_spread": 0}
 
 
 @dataclass
@@ -52,6 +57,11 @@ class RunConfig:
     max_nonfinite: int = 5
 
     def __post_init__(self):
+        for name, least in _LOWER_BOUNDS.items():
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
+        if len(self.plan_tuple) != 3:
+            raise ConfigError(f"plan_tuple {self.plan_tuple} is not [p, r, c]")
         if self.global_batch % self.micro_batch != 0:
             raise ConfigError("global_batch must be divisible by micro_batch")
         if self.model_kind not in ("recurrent", "fixed"):
@@ -63,6 +73,8 @@ class RunConfig:
             self.phases = [{"datasets": ["plain"], "weights": [1.0],
                             "start": 0, "end": self.total_steps}]
         try:
+            if self.total_steps > 0:
+                validate_phases(self.phases, self.total_steps)
             build_optimizer(self.optimizer, self.optimizer_hyper)
             adapter_weights(self.adapter_init, 1, 1, "float64", RandomStream(0))
         except (ContractError, TypeError) as exc:
@@ -85,8 +97,6 @@ def _build_dataclass(cls, data: dict, path: str):
                         if dataclasses.is_dataclass(sub) else value)
     try:
         return cls(**kwargs)
-    except ConfigError:
-        raise
     except (TypeError, ContractError) as exc:
         raise ConfigError(f"{path or cls.__name__}: {exc}") from exc
 

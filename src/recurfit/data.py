@@ -85,6 +85,8 @@ def validate_phases(phases: list, total_steps: int) -> None:
         raise ContractError("at least one phase is required")
     expected_start = 0
     for ph in phases:
+        if not isinstance(ph, dict):
+            raise ContractError(f"phase {ph!r} is not an object")
         missing = {"datasets", "weights", "start", "end"} - set(ph)
         if missing:
             raise ContractError(f"phase lacks {sorted(missing)}")

@@ -102,10 +102,10 @@ class BlockWeights:
 
 @dataclass
 class RecurrenceRun:
-    """How many recurrent passes to run and how many carry gradients."""
+    """Recurrent passes to run, how many carry gradients, and s0's stream."""
     r: int
-    window: int = 8
-    s0_stream: RandomStream | None = None
+    window: int
+    s0_stream: RandomStream
 
     def __post_init__(self):
         if self.r < 1:
@@ -232,8 +232,6 @@ def run_blocks(x: Tensor, blocks: list, cfg: ModelConfig) -> Tensor:
 
 def _check_tokens(tokens, cfg: ModelConfig) -> np.ndarray:
     tokens = np.asarray(tokens)
-    if tokens.ndim == 1:
-        tokens = tokens[None, :]
     if tokens.ndim != 2 or tokens.size == 0:
         raise InputError(f"token batch must be a nonempty (batch, n) array, "
                          f"got shape {tokens.shape}")
@@ -302,8 +300,7 @@ def forward_recurrent(model: RecurrentModel, tokens, run: RecurrenceRun) -> Tens
     """
     tokens = _check_tokens(tokens, model.config)
     e = prelude_forward(model, tokens)
-    s = sample_initial_state(model.config, *tokens.shape,
-                             run.s0_stream or RandomStream(0, "s0"),
+    s = sample_initial_state(model.config, *tokens.shape, run.s0_stream,
                              dtype=model.embed.dtype)
     with ag.no_record():
         for _ in range(run.detach_boundary):

@@ -105,10 +105,10 @@ def _outer_sizes(cfg: ModelConfig) -> dict:
 
 
 def count_parameters(cfg: ModelConfig, plan, convention: str = "table") -> ParamReport:
-    """Closed-form counts for a plan tuple under either convention."""
+    """Closed-form counts for a (p, r, c) tuple under either convention."""
     if convention not in ("table", "true"):
         raise ContractError(f"unknown convention {convention!r}")
-    p, r, c = plan.tuple if isinstance(plan, SurgeryPlan) else tuple(plan)
+    p, r, c = plan
     per = params_per_block(cfg)
     sizes = _outer_sizes(cfg)
     body = (p + r + c) * per
@@ -278,9 +278,6 @@ def block_influence_scores(model: FixedModel, calibration_tokens) -> list:
     Higher scores mark layers whose removal changes the residual stream
     more; an identity block (zero projections) scores 0.
     """
-    calibration_tokens = np.asarray(calibration_tokens)
-    if calibration_tokens.size == 0:
-        raise ContractError("calibration batch must be nonempty")
     pairs = forward_fixed_hidden(model, calibration_tokens)
     scores = []
     for x_in, x_out in pairs:

@@ -26,7 +26,7 @@ from . import autograd as ag
 from .autograd import Tape
 from .config import RunConfig, resolved_config_json
 from .checkpoint import Checkpoint
-from .data import step_batch, validate_phases
+from .data import step_batch
 from .errors import DivergenceError, FormatError, NonFiniteError
 from .flops import FlopMeter
 from .model import (FixedModel, RecurrenceRun, forward_fixed,
@@ -85,8 +85,6 @@ def _micro_loss_and_grads(model, inputs, targets, run):
 
 def train(cfg: RunConfig, resume_from: str | None = None) -> dict:
     """Run (or resume) training; returns a summary of artifacts."""
-    if cfg.total_steps > 0:
-        validate_phases(cfg.phases, cfg.total_steps)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(resolved_config_json(cfg))

@@ -200,19 +200,22 @@ def test_check_finite_toggle():
 
 
 def test_zero_logits_cross_entropy_is_log_vocab():
-    loss = ag.cross_entropy_mean(np.zeros((1, 3, 5)), np.array([[0, 4, 2]]))
+    loss = ag.cross_entropy_mean(Tensor(np.zeros((1, 3, 5))),
+                                 np.array([[0, 4, 2]]))
     assert loss.item() == pytest.approx(np.log(5))
 
 
 @pytest.mark.parametrize("bad", [5, 7, -1])
 def test_cross_entropy_target_out_of_range(bad):
     with pytest.raises(InputError, match="range"):
-        ag.cross_entropy_mean(np.zeros((1, 3, 5)), np.array([[0, bad, 2]]))
+        ag.cross_entropy_mean(Tensor(np.zeros((1, 3, 5))),
+                              np.array([[0, bad, 2]]))
 
 
 def test_cross_entropy_float_targets():
     with pytest.raises(InputError, match="integers"):
-        ag.cross_entropy_mean(np.zeros((1, 2, 5)), np.array([[0.0, 1.0]]))
+        ag.cross_entropy_mean(Tensor(np.zeros((1, 2, 5))),
+                              np.array([[0.0, 1.0]]))
 
 
 def _reference_attn(q, k, v, att_scale, g_out):
@@ -291,11 +294,11 @@ def test_causal_attn_gradients_match_finite_differences(groups, fd_check):
 @pytest.mark.parametrize("j", [1, 4, 6])
 def test_causal_attn_is_causal(j):
     q, k, v = _attn_inputs(2, 7, np.float64)
-    out = ag.causal_attn(q, k, v, 0.5).data
+    out = ag.causal_attn(Tensor(q), Tensor(k), Tensor(v), 0.5).data
     k2, v2 = k.copy(), v.copy()
     k2[:, :, j:] += 3.0
     v2[:, :, j:] -= 5.0
-    moved = ag.causal_attn(q, k2, v2, 0.5).data
+    moved = ag.causal_attn(Tensor(q), Tensor(k2), Tensor(v2), 0.5).data
     assert out[:, :, :j].tobytes() == moved[:, :, :j].tobytes()
     assert not np.array_equal(out[:, :, j:], moved[:, :, j:])
 
@@ -303,7 +306,7 @@ def test_causal_attn_is_causal(j):
 def test_causal_attn_rejects_ungrouped_heads():
     q, k, v = _attn_inputs(1, 3, np.float64, kv_heads=3)
     with pytest.raises(ShapeError):
-        ag.causal_attn(q[:, :2], k, v, 0.5)
+        ag.causal_attn(Tensor(q[:, :2]), Tensor(k), Tensor(v), 0.5)
 
 
 def test_backward_consumes_the_tape():

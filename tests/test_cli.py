@@ -2,8 +2,13 @@
 
 import csv
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from recurfit.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_FORMAT,
@@ -176,6 +181,20 @@ def test_cli_surgery_plan_file_matches_checkpoint_plan(tmp_path, donor_ckpt,
     assert written == Checkpoint.load(out).metadata["plan"]
 
 
+def test_cli_surgery_writes_both_files_under_out_root(tmp_path, donor_ckpt,
+                                                     monkeypatch, capsys):
+    root = tmp_path / "root"
+    monkeypatch.setenv("RECURFIT_OUT_ROOT", str(root))
+    monkeypatch.chdir(tmp_path)
+    assert main(["surgery", "--donor", str(donor_ckpt), "--plan-tuple",
+                 "1,2,1", "--out", "runs/cut.rfck", "--plan-file",
+                 "runs/plan.json"]) == EXIT_OK
+    cut = Checkpoint.load(root / "runs" / "cut.rfck")
+    assert json.loads((root / "runs" / "plan.json").read_text()) == \
+        cut.metadata["plan"]
+    assert not (tmp_path / "runs").exists()
+
+
 def test_cli_train_runs(tmp_path, capsys):
     code = main(["train", "--config", str(write_config(tmp_path))])
     assert code == EXIT_OK
@@ -241,6 +260,14 @@ def test_exit_code_config_error(tmp_path, donor_ckpt, capsys):
     assert main(["surgery", "--donor", str(donor_ckpt), "--plan-tuple", "1,2",
                  "--out", "x.rfck"]) == EXIT_CONFIG
     assert "p,r,c" in capsys.readouterr().err
+    for extra in ({"micro_batch": 0}, {"metric_interval": 0},
+                  {"plan_tuple": [1, 1], "donor_checkpoint": str(donor_ckpt)},
+                  {"phases": [5]}, {"micro_batch": -8},
+                  {"checkpoint_interval": -1}, {"total_steps": -1},
+                  {"depth_spread": -1}):
+        path = write_config(tmp_path, **extra)
+        assert main(["train", "--config", str(path)]) == EXIT_CONFIG, extra
+    assert not (tmp_path / "run").exists()
 
 
 def test_exit_code_divergence(tmp_path, capsys):
@@ -251,6 +278,43 @@ def test_exit_code_divergence(tmp_path, capsys):
     assert code == EXIT_DIVERGENCE
     assert "1 consecutive non-finite steps at step 1" in \
         capsys.readouterr().err
+
+
+def _nan_checkpoint(tmp_path, source, name):
+    ckpt = Checkpoint.load(source)
+    ckpt.tensors[name] = ckpt.tensors[name].copy()
+    ckpt.tensors[name][0, 0] = np.nan
+    path = tmp_path / "nan.rfck"
+    ckpt.save(path)
+    return path
+
+
+def test_exit_code_nonfinite_checkpoint(tmp_path, donor_ckpt, capsys):
+    cut = tmp_path / "retro.rfck"
+    assert main(["surgery", "--donor", str(donor_ckpt), "--plan-tuple",
+                 "1,2,1", "--out", str(cut)]) == EXIT_OK
+    recurrent = _nan_checkpoint(tmp_path, cut, "prelude.0.wq")
+    assert main(["eval", "--checkpoint", str(recurrent), "--recurrences", "1",
+                 "--items", "2"]) == EXIT_DIVERGENCE
+    fixed = _nan_checkpoint(tmp_path, donor_ckpt, "layers.1.wq")
+    assert main(["layer-scores", "--checkpoint", str(fixed), "--items", "2",
+                 "--context", "16"]) == EXIT_DIVERGENCE
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_module_entry_point_exit_status(tmp_path):
+    """`python -m recurfit.cli` exits with the code `main` returns."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def status(config):
+        return subprocess.run(
+            [sys.executable, "-m", "recurfit.cli", "flops", "--config",
+             str(config), "--tokens", "1000"], env=env,
+            capture_output=True).returncode
+
+    assert status(write_config(tmp_path)) == EXIT_OK
+    assert status(tmp_path / "nope.json") == EXIT_CONFIG
 
 
 def test_exit_code_format_error(tmp_path, donor_ckpt, capsys):

@@ -68,10 +68,12 @@ def test_block_causality(tiny_fixed):
 
 
 def test_forward_fixed_shapes_and_range(tiny_fixed):
-    logits = forward_fixed(tiny_fixed, np.array([3]))
+    logits = forward_fixed(tiny_fixed, np.array([[3]]))
     assert logits.shape == (1, 1, 11)
     with pytest.raises(InputError):
-        forward_fixed(tiny_fixed, np.array([11]))
+        forward_fixed(tiny_fixed, np.array([[11]]))
+    with pytest.raises(InputError, match="batch, n"):
+        forward_fixed(tiny_fixed, np.array([3]))
 
 
 @pytest.mark.parametrize("tokens", [np.zeros((1, 0), dtype=np.int64),
@@ -80,7 +82,8 @@ def test_empty_token_batch_is_input_error(tiny_fixed, tiny_recurrent, tokens):
     with pytest.raises(InputError, match="nonempty"):
         forward_fixed(tiny_fixed, tokens)
     with pytest.raises(InputError, match="nonempty"):
-        forward_recurrent(tiny_recurrent, tokens, RecurrenceRun(2, 8))
+        forward_recurrent(tiny_recurrent, tokens,
+                          RecurrenceRun(2, 8, RandomStream(0, "s0")))
 
 
 def test_float_token_ids_are_input_error(tiny_fixed, tiny_recurrent):
@@ -88,7 +91,8 @@ def test_float_token_ids_are_input_error(tiny_fixed, tiny_recurrent):
     with pytest.raises(InputError, match="integers"):
         forward_fixed(tiny_fixed, tokens)
     with pytest.raises(InputError, match="integers"):
-        forward_recurrent(tiny_recurrent, tokens, RecurrenceRun(2, 8))
+        forward_recurrent(tiny_recurrent, tokens,
+                          RecurrenceRun(2, 8, RandomStream(0, "s0")))
 
 
 def test_forward_fixed_deterministic(tiny_cfg):
@@ -113,9 +117,11 @@ def test_sample_initial_state(tiny_cfg):
 
 def test_forward_recurrent_contracts(tiny_recurrent):
     with pytest.raises(ContractError):
-        RecurrenceRun(0, 8)
+        RecurrenceRun(0, 8, RandomStream(0, "s0"))
     with pytest.raises(ContractError):
-        RecurrenceRun(4, 0)
+        RecurrenceRun(4, 0, RandomStream(0, "s0"))
+    with pytest.raises(TypeError):
+        RecurrenceRun(2, 8)
 
 
 def test_r1_single_pass_matches_untruncated(tiny_recurrent):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from recurfit.checkpoint import Checkpoint
-from recurfit.errors import ContractError, FormatError, PlanError
+from recurfit.errors import ContractError, FormatError, InputError, PlanError
 from recurfit.model import (ModelConfig, RecurrenceRun, forward_fixed,
                             forward_recurrent, init_fixed, init_recurrent)
 from recurfit.random import RandomStream
@@ -288,7 +288,7 @@ def test_surgery_adapter_noise(toy_donor):
      ContractError, "requires a stream"),
     (lambda d: block_influence_scores(model_from_checkpoint(d),
                                       np.zeros((1, 0), dtype=np.int64)),
-     ContractError, "nonempty"),
+     InputError, "nonempty"),
 ], ids=["convention", "kind", "recurrent-donor", "noise-without-stream",
         "scaled-random-without-stream", "empty-calibration"])
 def test_surgery_contract_errors(toy_donor, call, error, needle):
