@@ -70,7 +70,7 @@ class Checkpoint:
         body = PREAMBLE_BYTES + header_len
         try:
             header = json.loads(blob[PREAMBLE_BYTES:body].decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # UTF-8 or JSON
             raise FormatError(f"{path}: corrupt header: {exc}") from exc
         if not isinstance(header, dict) or not all(
                 isinstance(header.get(k), dict) for k in ("tensors", "metadata")):
@@ -86,7 +86,7 @@ class Checkpoint:
                     raise FormatError(f"{path}: tensor {name} outside payload")
                 arr = np.frombuffer(payload[lo:hi], dtype=np.dtype(ent["dtype"]))
                 tensors[name] = arr.reshape(ent["shape"]).copy()
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise FormatError(f"{path}: bad directory entry for tensor "
                                   f"{name}: {exc!r}") from exc
             spans.append((lo, hi, name))

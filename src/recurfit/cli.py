@@ -25,13 +25,13 @@ from .data import eval_batch
 from .errors import (ConfigError, ContractError, DivergenceError, FormatError,
                      InputError, NonFiniteError, PlanError)
 from .evaluate import DEFAULT_RECURRENCES, eval_sweep
-from .flops import flops_fixed, flops_for_step, recurrent_split
+from .flops import param_split, train_flops
 from .random import RandomStream
 from .schedules import curriculum_mean, lr_at, window_at
 from .surgery import (apply_surgery, block_influence_scores,
-                      count_fixed_params, count_parameters, donor_depth,
-                      make_plan, model_from_checkpoint)
-from .train import train
+                      count_parameters, donor_layout, make_plan,
+                      model_from_checkpoint)
+from .train import initial_layout, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,7 +63,7 @@ def _parse_tuple(text: str) -> tuple:
 
 def cmd_surgery(args) -> int:
     donor = Checkpoint.load(args.donor)
-    plan = make_plan(_parse_tuple(args.plan_tuple), donor_depth(donor))
+    plan = make_plan(_parse_tuple(args.plan_tuple), donor_layout(donor)[1])
     result = apply_surgery(donor, plan, args.adapter_init,
                            RandomStream(args.seed, "adapter"), args.noise_std)
     out = _out_path(args.out)
@@ -97,21 +97,18 @@ def cmd_eval(args) -> int:
 
 def cmd_flops(args) -> int:
     cfg = load_config(args.config, args.set or [])
-    tokens = args.tokens
-    if cfg.model_kind == "fixed":
-        n = count_fixed_params(cfg.model, cfg.fixed_depth)["body"]
-        value = flops_fixed(n, tokens)
-        payload = {"model_kind": "fixed", "non_embedding_params": n,
-                   "tokens": tokens, "flops": value}
+    model_cfg, counts = initial_layout(cfg)
+    n1, n2 = param_split(model_cfg, counts, args.mean_r, args.window)
+    if len(counts) == 1:
+        payload = {"model_kind": "fixed", "non_embedding_params": n1,
+                   "tokens": args.tokens}
     else:
-        report = count_parameters(cfg.model, tuple(cfg.plan_tuple))
-        n1, n2 = recurrent_split(report, args.mean_r, args.window)
+        report = count_parameters(model_cfg, counts)
         payload = {"model_kind": "recurrent",
                    "param_report": dataclasses.asdict(report),
                    "mean_r": args.mean_r, "window": args.window,
-                   "tokens": tokens, "n1": n1, "n2": n2,
-                   "flops": flops_for_step(report, args.mean_r, args.window,
-                                           tokens)}
+                   "tokens": args.tokens, "n1": n1, "n2": n2}
+    payload["flops"] = train_flops(n1, n2, args.tokens)
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 

@@ -3,9 +3,10 @@
 `val_loss` measures mean next-token cross entropy at a fixed recurrence;
 `eval_sweep` runs a list of recurrences (default [1, 2, 4, 8, 16, 32])
 and reports loss, answer-position exact-match accuracy, the effective
-parameter count P + C + r*(R + adapter), and a per-token inference FLOP
-proxy (2x effective parameters). The initial state is drawn from a
-reported evaluation seed so numbers are comparable across runs.
+parameter count N1 + N2 of `flops.param_split` at depth r, and a
+per-token inference FLOP proxy (2x effective parameters). The initial
+state is drawn from a reported evaluation seed so numbers are comparable
+across runs.
 
 Each micro-batch is run once: the recurrence iterates up to the largest
 requested r and every requested r is read out on the way, so a sweep
@@ -20,11 +21,9 @@ from dataclasses import dataclass
 
 from . import autograd as ag
 from .data import answer_mask, eval_batch
-from .errors import ContractError
-from .flops import effective_params
-from .model import FixedModel, forward_fixed, recurrence_sweep
+from .flops import param_split
+from .model import recurrence_sweep, section_counts
 from .random import RandomStream
-from .surgery import count_fixed_params, count_parameters
 
 DEFAULT_RECURRENCES = (1, 2, 4, 8, 16, 32)
 MICRO_BATCH = 8
@@ -61,15 +60,6 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def _sweep_logits(model, inputs, recurrences, s0_stream):
-    """(r, logits) for each distinct r; a fixed-depth model has no
-    recurrence, so its one forward serves every r."""
-    if isinstance(model, FixedModel):
-        logits = forward_fixed(model, inputs)
-        return ((r, logits) for r in sorted(set(recurrences)))
-    return recurrence_sweep(model, inputs, recurrences, s0_stream)
-
-
 def _loss_and_accuracy(model, dataset_id: str, recurrences, s0_seed: int,
                        n_items: int, data_seed: int) -> dict:
     """r -> (loss, accuracy) on held-out items for each distinct r.
@@ -77,9 +67,6 @@ def _loss_and_accuracy(model, dataset_id: str, recurrences, s0_seed: int,
     Sums run over micro-batches in order, so each r's figures do not
     depend on which other counts share the sweep.
     """
-    if not recurrences or min(recurrences) < 1:
-        raise ContractError(f"recurrence counts must be >= 1, got "
-                            f"{list(recurrences)}")
     inputs, targets = eval_batch(data_seed, dataset_id, n_items,
                                  model.config.context_length)
     mask = answer_mask(dataset_id, targets)
@@ -88,8 +75,8 @@ def _loss_and_accuracy(model, dataset_id: str, recurrences, s0_seed: int,
         for b, lo in enumerate(range(0, inputs.shape[0], MICRO_BATCH)):
             sl = slice(lo, lo + MICRO_BATCH)
             stream = RandomStream(s0_seed, f"eval_s0/{b}")
-            for r, logits in _sweep_logits(model, inputs[sl], recurrences,
-                                           stream):
+            for r, logits in recurrence_sweep(model, inputs[sl], recurrences,
+                                              stream):
                 nll, _ = ag.token_nll(logits.data, targets[sl])
                 pred = logits.data.argmax(axis=-1)
                 m = mask[sl]
@@ -116,16 +103,9 @@ def eval_sweep(model, dataset_id: str,
     recurrences = list(recurrences)
     results = _loss_and_accuracy(model, dataset_id, recurrences, s0_seed,
                                  n_items, data_seed)
-    report = (None if isinstance(model, FixedModel)
-              else count_parameters(model.config, model.plan_tuple))
     rows = []
     for r in sorted(recurrences):
         loss, accuracy = results[r]
-        if report is not None:
-            n_eff = effective_params(report, r)
-        else:
-            n_eff = count_fixed_params(model.config, len(model.blocks))["body"]
-        rows.append(SweepRow(r=r, loss=loss, accuracy=accuracy,
-                             effective_params=n_eff,
-                             flop_proxy=2.0 * n_eff))
+        n_eff = sum(param_split(model.config, section_counts(model), r, r))
+        rows.append(SweepRow(r, loss, accuracy, n_eff, 2.0 * n_eff))
     return SweepResult(rows)

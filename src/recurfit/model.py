@@ -45,14 +45,16 @@ class ModelConfig:
     post_norm: bool = False
 
     def __post_init__(self):
+        for name in ("vocab_size", "hidden", "n_query_heads", "n_kv_heads",
+                     "head_dim", "ffn_width", "context_length"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1")
         if self.hidden != self.n_query_heads * self.head_dim:
             raise ContractError(
                 f"hidden ({self.hidden}) must equal n_query_heads*head_dim "
                 f"({self.n_query_heads}x{self.head_dim})")
         if self.n_query_heads % self.n_kv_heads != 0:
             raise ContractError("n_query_heads must be divisible by n_kv_heads")
-        if self.context_length < 1:
-            raise ContractError("context_length must be >= 1")
 
     @property
     def kv_dim(self) -> int:
@@ -147,10 +149,6 @@ class RecurrentModel:
     unembed: Tensor | None
     config: ModelConfig
 
-    @property
-    def plan_tuple(self) -> tuple:
-        return (len(self.prelude), len(self.recurrent), len(self.coda))
-
     def segments(self) -> tuple:
         """(section name, blocks) pairs in forward order."""
         return (("prelude", self.prelude), ("recurrent", self.recurrent),
@@ -158,6 +156,11 @@ class RecurrentModel:
 
     def params(self) -> dict:
         return _named_params(self)
+
+
+def section_counts(model) -> tuple:
+    """Blocks per section: (L,) for a fixed model, (p, r, c) otherwise."""
+    return tuple(len(blocks) for _, blocks in model.segments())
 
 
 def _named_params(model) -> dict:
@@ -310,18 +313,22 @@ def forward_recurrent(model: RecurrentModel, tokens, run: RecurrenceRun) -> Tens
     return _coda_logits(model, s)
 
 
-def recurrence_sweep(model: RecurrentModel, tokens, recurrences,
-                     s0_stream: RandomStream):
+def recurrence_sweep(model, tokens, recurrences, s0_stream: RandomStream):
     """Yield (r, logits) for each distinct r in `recurrences`, ascending.
 
     One pass: the prelude runs and s0 is drawn once, then the recurrent
     block iterates up to the largest r, and coda + unembed read out the
     state at each requested r. The logits at r equal those of
-    `forward_recurrent` at r from the same s0 stream, bit for bit.
+    `forward_recurrent` at r from the same s0 stream, bit for bit. A
+    fixed-depth model has no recurrence: its one forward serves every r.
     """
     wanted = sorted(set(recurrences))
     if not wanted or wanted[0] < 1:
         raise ContractError(f"recurrence counts must be >= 1, got {wanted}")
+    if isinstance(model, FixedModel):
+        logits = forward_fixed(model, tokens)
+        yield from ((r, logits) for r in wanted)
+        return
     tokens = _check_tokens(tokens, model.config)
     e = prelude_forward(model, tokens)
     s = sample_initial_state(model.config, *tokens.shape, s0_stream,
@@ -358,6 +365,8 @@ def _init_model(cfg: ModelConfig, counts: tuple, stream: RandomStream,
     Gains start at one; wo, w_down and the adapter shrink with depth."""
     if emb_scale <= 0:
         raise ContractError("emb_scale must be > 0")
+    if min(counts) < 0:
+        raise ContractError(f"layer counts {counts} must be >= 0")
     base = np.sqrt(2.0 / (5.0 * cfg.hidden))
     out_std = base * (1.0 / np.sqrt(2.0 * max(sum(counts), 1)))
     std = {"embed": base * emb_scale, "adapter": out_std, "wo": out_std,

@@ -170,11 +170,7 @@ class Muon:
 
 
 def build_optimizer(name: str, hyper: dict | None = None) -> AdamW | Muon:
-    hyper = dict(hyper or {})
-    if name == "adamw":
-        return AdamW(**hyper)
-    if name == "adamw_star":
-        return AdamWStar(**hyper)
-    if name == "muon":
-        return Muon(**hyper)
-    raise ContractError(f"unknown optimizer {name!r}")
+    classes = {"adamw": AdamW, "adamw_star": AdamWStar, "muon": Muon}
+    if name not in classes:
+        raise ContractError(f"unknown optimizer {name!r}")
+    return classes[name](**(hyper or {}))

@@ -27,7 +27,8 @@ from .autograd import Tensor
 from .checkpoint import Checkpoint
 from .errors import ContractError, FormatError, PlanError
 from .model import (BlockWeights, FixedModel, ModelConfig, assemble,
-                    block_shapes, forward_fixed_hidden, outer_shapes)
+                    block_shapes, forward_fixed_hidden, outer_shapes,
+                    section_counts)
 from .random import RandomStream
 
 
@@ -97,34 +98,26 @@ def params_per_block(cfg: ModelConfig) -> int:
     return sum(math.prod(shape) for shape in block_shapes(cfg).values())
 
 
-def _outer_sizes(cfg: ModelConfig) -> dict:
-    """Element count of each outer tensor, plus both embeddings summed."""
-    sizes = {k: math.prod(shape) for k, shape in outer_shapes(cfg).items()}
-    sizes["embeddings"] = sizes["embed"] + sizes.get("unembed", 0)
-    return sizes
-
-
 def count_parameters(cfg: ModelConfig, plan, convention: str = "table") -> ParamReport:
     """Closed-form counts for a (p, r, c) tuple under either convention."""
     if convention not in ("table", "true"):
         raise ContractError(f"unknown convention {convention!r}")
     p, r, c = plan
     per = params_per_block(cfg)
-    sizes = _outer_sizes(cfg)
+    sizes = {k: math.prod(shape) for k, shape in outer_shapes(cfg).items()}
     body = (p + r + c) * per
     if convention == "true":
         body += sizes["adapter"] + sizes["final_norm"]
-    return ParamReport(embeddings=sizes["embeddings"], prelude=p * per,
-                       recurrent_block=r * per, coda=c * per,
+    return ParamReport(embeddings=sizes["embed"] + sizes.get("unembed", 0),
+                       prelude=p * per, recurrent_block=r * per, coda=c * per,
                        adapter=sizes["adapter"], final_norm=sizes["final_norm"],
                        body=body, convention=convention)
 
 
-def count_fixed_params(cfg: ModelConfig, depth: int) -> dict:
-    """Non-recurrent accounting: embeddings vs. body (blocks + final norm)."""
-    sizes = _outer_sizes(cfg)
-    return {"embeddings": sizes["embeddings"],
-            "body": depth * params_per_block(cfg) + sizes["final_norm"]}
+def count_fixed_params(cfg: ModelConfig, depth: int) -> int:
+    """Non-embedding parameters of a fixed model: blocks + final norm."""
+    final_norm = math.prod(outer_shapes(cfg)["final_norm"])
+    return depth * params_per_block(cfg) + final_norm
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +125,9 @@ def count_fixed_params(cfg: ModelConfig, depth: int) -> dict:
 
 
 def model_to_checkpoint(model, extra_metadata: dict | None = None) -> Checkpoint:
-    meta = ({"kind": "fixed", "depth": len(model.blocks)}
-            if isinstance(model, FixedModel) else
-            {"kind": "recurrent", "plan_tuple": list(model.plan_tuple)})
+    counts = section_counts(model)
+    meta = ({"kind": "fixed", "depth": counts[0]} if len(counts) == 1 else
+            {"kind": "recurrent", "plan_tuple": list(counts)})
     meta = {**meta, "config": dataclasses.asdict(model.config),
             **(extra_metadata or {})}
     return Checkpoint(metadata=meta,
@@ -147,21 +140,17 @@ def _meta(meta: dict, key: str):
     return meta[key]
 
 
-def _model_config(meta: dict) -> ModelConfig:
-    try:
-        return ModelConfig(**_meta(meta, "config"))
-    except (TypeError, ContractError) as exc:
-        raise FormatError(f"checkpoint config: {exc}") from exc
-
-
 def _tensor(tensors: dict, name: str, shape: tuple, dtype=None) -> Tensor:
     if name not in tensors:
         raise FormatError(f"checkpoint missing tensor {name}")
-    data = np.asarray(tensors[name], dtype=dtype)
+    data = np.asarray(tensors[name])
+    if data.dtype.kind != "f" or data.dtype.itemsize not in (4, 8):
+        raise FormatError(f"checkpoint tensor {name} has dtype {data.dtype}, "
+                          f"not float32/64")
     if data.shape != shape:
         raise FormatError(f"checkpoint tensor {name} has shape {data.shape}, "
                           f"the model config needs {shape}")
-    return Tensor(data)
+    return Tensor(np.asarray(data, dtype=dtype))
 
 
 def _build(tensors: dict, cfg: ModelConfig, sections, dtype=None):
@@ -182,40 +171,53 @@ def _layer_prefixes(*layer_lists) -> list:
     return [[f"layers.{i}" for i in layers] for layers in layer_lists]
 
 
-def model_from_checkpoint(ckpt: Checkpoint, dtype=None):
-    """Rebuild a FixedModel or RecurrentModel from a checkpoint."""
-    meta = ckpt.metadata
-    cfg = _model_config(meta)
-    t = ckpt.tensors
-    if dtype is None:
-        dtype = _tensor(t, "embed", outer_shapes(cfg)["embed"]).dtype
+_SECTIONS = {"fixed": ("layers",), "recurrent": ("prelude", "recurrent",
+                                                "coda")}
+
+
+def checkpoint_layout(meta: dict) -> tuple:
+    """(ModelConfig, section counts) that checkpoint metadata names:
+    (depth,) for a fixed model, (p, r, c) for a recurrent one."""
+    try:
+        cfg = ModelConfig(**_meta(meta, "config"))
+    except (TypeError, ContractError) as exc:
+        raise FormatError(f"checkpoint config: {exc}") from exc
     kind = _meta(meta, "kind")
     if kind == "fixed":
-        return _build(t, cfg, _layer_prefixes(range(_meta(meta, "depth"))),
-                      dtype=dtype)
-    if kind == "recurrent":
-        plan = _meta(meta, "plan_tuple")
-        if not (isinstance(plan, list) and len(plan) == 3):
-            raise FormatError(f"checkpoint plan_tuple {plan!r} is not [p, r, c]")
-        sections = [[f"{name}.{i}" for i in range(n)] for name, n in
-                    zip(("prelude", "recurrent", "coda"), plan)]
-        return _build(t, cfg, sections, dtype)
-    raise FormatError(f"unknown checkpoint kind {kind!r}")
+        counts = [_meta(meta, "depth")]
+    elif kind == "recurrent":
+        counts = _meta(meta, "plan_tuple")
+    else:
+        raise FormatError(f"unknown checkpoint kind {kind!r}")
+    if not (isinstance(counts, list) and len(counts) == len(_SECTIONS[kind])
+            and all(type(n) is int and n >= 0 for n in counts)):
+        raise FormatError(f"checkpoint layer counts {counts!r} are invalid")
+    return cfg, tuple(counts)
+
+
+def model_from_checkpoint(ckpt: Checkpoint, dtype=None):
+    """Rebuild a FixedModel or RecurrentModel from a checkpoint."""
+    cfg, counts = checkpoint_layout(ckpt.metadata)
+    t = ckpt.tensors
+    if sum(counts) > len(t):
+        raise FormatError(f"checkpoint has {len(t)} tensors for {counts}")
+    if dtype is None:
+        dtype = _tensor(t, "embed", outer_shapes(cfg)["embed"]).dtype
+    sections = [[f"{name}.{i}" for i in range(n)] for name, n in
+                zip(_SECTIONS[ckpt.metadata["kind"]], counts)]
+    return _build(t, cfg, sections, dtype)
 
 
 # ---------------------------------------------------------------------------
 # surgery proper
 
 
-def _donor_config(donor: Checkpoint) -> ModelConfig:
+def donor_layout(donor: Checkpoint) -> tuple:
+    """(ModelConfig, depth) of a donor; its plan is cut from that depth."""
     if donor.metadata.get("kind") != "fixed":
         raise FormatError("surgery donor must be a fixed-depth checkpoint")
-    return _model_config(donor.metadata)
-
-
-def donor_depth(donor: Checkpoint) -> int:
-    """Layer count of a donor checkpoint, the depth its plan is cut from."""
-    return _meta(donor.metadata, "depth")
+    cfg, (depth,) = checkpoint_layout(donor.metadata)
+    return cfg, depth
 
 
 def adapter_weights(adapter_init: str, h: int, depth: int, dtype,
@@ -249,8 +251,7 @@ def apply_surgery(donor: Checkpoint, plan: SurgeryPlan,
     Selected blocks, embeddings, and the final norm are copied verbatim;
     only the adapter is new.
     """
-    cfg = _donor_config(donor)
-    depth = donor_depth(donor)
+    cfg, depth = donor_layout(donor)
     if depth != plan.donor_depth:
         raise FormatError(f"plan expects donor depth {plan.donor_depth}, "
                           f"checkpoint has {depth}")
@@ -268,7 +269,7 @@ def apply_surgery(donor: Checkpoint, plan: SurgeryPlan,
 def pruned_donor(donor: Checkpoint, plan: SurgeryPlan) -> Checkpoint:
     """Fixed-depth checkpoint keeping only the plan's layers, in plan order."""
     kept = plan.prelude_layers + plan.recurrent_layers + plan.coda_layers
-    return model_to_checkpoint(_build(donor.tensors, _donor_config(donor),
+    return model_to_checkpoint(_build(donor.tensors, donor_layout(donor)[0],
                                       _layer_prefixes(kept)))
 
 

@@ -28,16 +28,16 @@ from .config import RunConfig, resolved_config_json
 from .checkpoint import Checkpoint
 from .data import step_batch
 from .errors import DivergenceError, FormatError, NonFiniteError
-from .flops import FlopMeter
+from .flops import FlopMeter, param_split
 from .model import (FixedModel, RecurrenceRun, forward_fixed,
-                    forward_recurrent, init_fixed, init_recurrent)
+                    forward_recurrent, init_fixed, init_recurrent,
+                    section_counts)
 from .optim import build_optimizer, clip_global_norm
 from .random import RandomStream
 from .schedules import (DepthDistribution, curriculum_mean, lr_at,
                         sample_recurrence, window_at)
-from .surgery import (apply_surgery, count_fixed_params, count_parameters,
-                      donor_depth, make_plan, model_from_checkpoint,
-                      model_to_checkpoint)
+from .surgery import (apply_surgery, checkpoint_layout, donor_layout,
+                      make_plan, model_from_checkpoint, model_to_checkpoint)
 
 METRIC_COLUMNS = ("step", "loss", "lr", "curriculum_mean", "sampled_r",
                   "window", "tokens_seen", "cumulative_flops", "nonfinite")
@@ -51,7 +51,7 @@ def build_initial_model(cfg: RunConfig):
                                      dtype=dtype)
     if cfg.donor_checkpoint:
         donor = Checkpoint.load(cfg.donor_checkpoint)
-        plan = make_plan(tuple(cfg.plan_tuple), donor_depth(donor))
+        plan = make_plan(tuple(cfg.plan_tuple), donor_layout(donor)[1])
         surgical = apply_surgery(donor, plan, cfg.adapter_init,
                                  RandomStream(cfg.seed, "adapter"),
                                  cfg.adapter_noise_std)
@@ -64,6 +64,18 @@ def build_initial_model(cfg: RunConfig):
                           cfg.emb_scale, dtype=dtype)
 
 
+def initial_layout(cfg: RunConfig) -> tuple:
+    """(ModelConfig, section counts) of the model `build_initial_model`
+    builds, read without building its weights."""
+    if cfg.init_checkpoint:
+        return checkpoint_layout(Checkpoint.load(cfg.init_checkpoint).metadata)
+    if cfg.donor_checkpoint:
+        model_cfg, depth = donor_layout(Checkpoint.load(cfg.donor_checkpoint))
+        return model_cfg, make_plan(tuple(cfg.plan_tuple), depth).tuple
+    return cfg.model, ((cfg.fixed_depth,) if cfg.model_kind == "fixed"
+                       else tuple(cfg.plan_tuple))
+
+
 def _save_checkpoint(path, model, optimizer, step, tokens_seen, flops):
     ckpt = model_to_checkpoint(model, extra_metadata={
         "step": step, "tokens_seen": tokens_seen, "cumulative_flops": flops})
@@ -74,10 +86,8 @@ def _save_checkpoint(path, model, optimizer, step, tokens_seen, flops):
 
 def _micro_loss_and_grads(model, inputs, targets, run):
     with Tape() as tape:
-        if isinstance(model, FixedModel):
-            logits = forward_fixed(model, inputs)
-        else:
-            logits = forward_recurrent(model, inputs, run)
+        logits = (forward_fixed(model, inputs) if isinstance(model, FixedModel)
+                  else forward_recurrent(model, inputs, run))
         loss = ag.cross_entropy_mean(logits, targets)
         grad_map = ag.backward(loss, tape)
     return loss.item(), grad_map
@@ -109,12 +119,6 @@ def train(cfg: RunConfig, resume_from: str | None = None) -> dict:
     else:
         model = build_initial_model(cfg)
 
-    fixed = isinstance(model, FixedModel)
-    if fixed:
-        fixed_n = count_fixed_params(model.config, len(model.blocks))["body"]
-    else:
-        report = count_parameters(model.config, model.plan_tuple)
-
     params = model.params()
     context = model.config.context_length
     n_micro = cfg.global_batch // cfg.micro_batch
@@ -138,7 +142,7 @@ def train(cfg: RunConfig, resume_from: str | None = None) -> dict:
                 mean_r = curriculum_mean(cfg.curriculum, step)
                 window = window_at(cfg.window, step)
                 lr = lr_at(cfg.lr, step)
-                if fixed:
+                if isinstance(model, FixedModel):
                     sampled_r = 1
                 else:
                     sampled_r = sample_recurrence(
@@ -172,10 +176,8 @@ def train(cfg: RunConfig, resume_from: str | None = None) -> dict:
                         nonfinite = True
                 tokens = cfg.global_batch * context
                 tokens_seen += tokens
-                if fixed:
-                    meter.add_fixed(fixed_n, tokens)
-                else:
-                    meter.add_recurrent(report, mean_r, window, tokens)
+                meter.add(*param_split(model.config, section_counts(model),
+                                       mean_r, window), tokens)
                 if step % cfg.metric_interval == 0 or step == cfg.total_steps - 1:
                     writer.writerow([step, f"{loss_val:.10g}", f"{lr:.10g}",
                                      mean_r, sampled_r, window, tokens_seen,

@@ -17,11 +17,14 @@ from recurfit.checkpoint import Checkpoint
 from recurfit.config import load_config
 from recurfit.errors import ConfigError, FormatError
 from recurfit.flops import flops_fixed, flops_for_step
+import recurfit.model as model_module
+import recurfit.train as train_module
 from recurfit.model import ModelConfig, init_fixed
 from recurfit.random import RandomStream
 from recurfit.schedules import curriculum_mean, lr_at, window_at
-from recurfit.surgery import (count_fixed_params, count_parameters,
-                              make_plan, model_to_checkpoint)
+from recurfit.surgery import (apply_surgery, count_fixed_params,
+                              count_parameters, make_plan, model_to_checkpoint)
+from recurfit.train import train
 
 MODEL = {"vocab_size": 257, "hidden": 16, "n_query_heads": 2, "n_kv_heads": 1,
          "head_dim": 8, "ffn_width": 16, "context_length": 24}
@@ -127,6 +130,45 @@ def test_malformed_config_is_config_error(tmp_path, capsys, make, overrides,
     assert needle in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra,needle", [
+    ({"lr": {"peak": "a"}}, "lr.peak"),
+    ({"grad_clip": "big"}, "grad_clip"),
+    ({"optimizer_hyper": {"beta1": "x"}}, "optimizer_hyper"),
+    ({"optimizer_hyper": {"beta1": None}}, "optimizer_hyper"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"total_steps": "2"}, "total_steps"),
+    ({"plan_tuple": [1, True, 1]}, "plan_tuple"),
+    ({"plan_tuple": "121"}, "plan_tuple"),
+    ({"model": dict(MODEL, tie_embeddings=1)}, "model.tie_embeddings"),
+    ({"curriculum": {"target": 4.5}}, "curriculum.target"),
+    ({"init_checkpoint": 5}, "init_checkpoint"),
+    ({"model_kind": "fixed", "fixed_depth": -1}, "fixed_depth"),
+    ({"plan_tuple": [-1, 2, 1]}, "plan_tuple"),
+    ({"model": dict(MODEL, n_kv_heads=0)}, "n_kv_heads"),
+], ids=["lr-peak-str", "grad-clip-str", "hyper-str", "hyper-null",
+        "seed-float", "seed-bool", "steps-str", "plan-bool-entry",
+        "plan-str", "tie-int", "target-float", "init-checkpoint-int",
+        "negative-fixed-depth", "negative-plan-entry", "zero-kv-heads"])
+def test_wrong_typed_or_negative_config_value_is_config_error(
+        tmp_path, capsys, extra, needle):
+    path = write_config(tmp_path, **extra)
+    with pytest.raises(ConfigError, match=needle):
+        load_config(path)
+    assert main(["train", "--config", str(path)]) == EXIT_CONFIG
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_types_accept_ints_for_floats_and_null_paths(tmp_path):
+    cfg = load_config(write_config(
+        tmp_path, lr={"peak": 1}, grad_clip=2, donor_checkpoint=None,
+        optimizer_hyper={"beta1": 0, "beta2": 0.5},
+        model=dict(MODEL, rope_base=500, tie_embeddings=True)))
+    assert (cfg.lr.peak, cfg.grad_clip, cfg.model.rope_base) == (1, 2, 500)
+    assert cfg.optimizer_hyper == {"beta1": 0, "beta2": 0.5}
+
+
 # ---------------------------------------------------------------------------
 # CLI commands
 
@@ -217,10 +259,64 @@ def test_cli_flops_fixed_matches_library(tmp_path, capsys):
     path = write_config(tmp_path, model_kind="fixed", fixed_depth=3)
     assert main(["flops", "--config", str(path), "--tokens", "1000"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
-    body = count_fixed_params(ModelConfig(**MODEL), 3)["body"]
+    body = count_fixed_params(ModelConfig(**MODEL), 3)
     assert payload["model_kind"] == "fixed"
     assert payload["non_embedding_params"] == body
     assert payload["flops"] == flops_fixed(body, 1000)
+
+
+def _one_step_config(tmp_path, **extra):
+    """One step of batch 2x24 at curriculum target 4 and window 2."""
+    return write_config(
+        tmp_path, total_steps=1, micro_batch=2, global_batch=2,
+        curriculum={"shape": "constant", "target": 4},
+        window={"shape": "constant", "target": 2},
+        phases=[{"datasets": ["plain"], "weights": [1.0], "start": 0,
+                 "end": 1}], **extra)
+
+
+@pytest.mark.parametrize("source", ["fixed-init", "surgery-init", "donor",
+                                    "scratch", "scratch-fixed"])
+def test_cli_flops_equals_one_metered_train_step(tmp_path, capsys, source):
+    """`flops` accounts the model `train` builds: kind, plan and model
+    config come from the init checkpoint or donor when the config names
+    one. The checkpoints use another ffn width than the config."""
+    other = ModelConfig(**dict(MODEL, ffn_width=32))
+    fixed = tmp_path / "fixed3.rfck"
+    model_to_checkpoint(init_fixed(other, 3, RandomStream(0, "init"))).save(
+        fixed)
+    cut = tmp_path / "cut222.rfck"
+    donor6 = model_to_checkpoint(init_fixed(other, 6, RandomStream(1, "init")))
+    apply_surgery(donor6, make_plan((2, 2, 2), 6), "identity-pass",
+                  noise_std=0.0).save(cut)
+    extra = {"fixed-init": {"init_checkpoint": str(fixed)},
+             "surgery-init": {"init_checkpoint": str(cut)},
+             "donor": {"donor_checkpoint": str(fixed)},
+             "scratch": {},
+             "scratch-fixed": {"model_kind": "fixed", "fixed_depth": 2}}[source]
+    path = _one_step_config(tmp_path, **extra)
+    assert main(["flops", "--config", str(path), "--mean-r", "4", "--window",
+                 "2", "--tokens", "48"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    summary = train(load_config(path))
+    assert summary["tokens_seen"] == 48
+    assert payload["flops"] == summary["cumulative_flops"]
+    assert payload["model_kind"] == (
+        "fixed" if source in ("fixed-init", "scratch-fixed") else "recurrent")
+
+
+def test_cli_flops_builds_no_weights_for_a_scratch_config(tmp_path, capsys,
+                                                          monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("flops built model weights")
+
+    for module in (train_module, model_module):
+        monkeypatch.setattr(module, "init_fixed", refuse)
+        monkeypatch.setattr(module, "init_recurrent", refuse)
+    for extra in ({}, {"model_kind": "fixed", "fixed_depth": 2}):
+        path = write_config(tmp_path, **extra)
+        assert main(["flops", "--config", str(path), "--tokens",
+                     "10"]) == EXIT_OK
 
 
 def test_cli_schedule_dump_matches_pointwise(tmp_path, capsys):
@@ -366,6 +462,50 @@ def test_exit_code_donor_without_depth(tmp_path, donor_ckpt, capsys):
     assert main(["surgery", "--donor", str(donor), "--plan-tuple", "1,2,1",
                  "--out", str(tmp_path / "x.rfck")]) == EXIT_FORMAT
     assert "depth" in capsys.readouterr().err
+
+
+@pytest.fixture
+def recurrent_ckpt(tmp_path, donor_ckpt):
+    path = tmp_path / "recurrent.rfck"
+    apply_surgery(Checkpoint.load(donor_ckpt), make_plan((1, 2, 1), 4),
+                  "identity-pass", noise_std=0.0).save(path)
+    return path
+
+
+@pytest.mark.parametrize("source,edit", [
+    ("donor", lambda m: m["config"].update(n_kv_heads=0)),
+    ("donor", lambda m: m.update(depth=-1)),
+    ("donor", lambda m: m.update(depth="4")),
+    ("recurrent", lambda m: m["config"].update(n_kv_heads=0)),
+    ("recurrent", lambda m: m.update(plan_tuple=[1, "a", 1])),
+    ("recurrent", lambda m: m.update(plan_tuple=[1, 1.5, 1])),
+    ("recurrent", lambda m: m.update(plan_tuple=[1, -1, 1])),
+], ids=["fixed-zero-kv-heads", "negative-depth", "string-depth",
+        "recurrent-zero-kv-heads", "string-plan-entry", "float-plan-entry",
+        "negative-plan-entry"])
+def test_exit_code_bad_checkpoint_layout(tmp_path, donor_ckpt, recurrent_ckpt,
+                                         capsys, source, edit):
+    bad = _edited_checkpoint(tmp_path, donor_ckpt if source == "donor"
+                             else recurrent_ckpt, edit)
+    assert main(["eval", "--checkpoint", str(bad), "--recurrences", "1",
+                 "--items", "1"]) == EXIT_FORMAT
+    if source == "donor":
+        assert main(["surgery", "--donor", str(bad), "--plan-tuple", "1,1,1",
+                     "--out", str(tmp_path / "x.rfck")]) == EXIT_FORMAT
+        assert main(["layer-scores", "--checkpoint", str(bad)]) == EXIT_FORMAT
+
+
+@pytest.mark.parametrize("dtype", ["<U8", "complex128"])
+def test_exit_code_model_tensor_dtype(tmp_path, donor_ckpt, capsys, dtype):
+    """A string embed used to exit 1 (numpy TypeError); a complex one
+    exited 0 with its imaginary parts dropped."""
+    ckpt = Checkpoint.load(donor_ckpt)
+    ckpt.tensors["embed"] = ckpt.tensors["embed"].astype(dtype)
+    bad = tmp_path / "bad.rfck"
+    ckpt.save(bad)
+    assert main(["eval", "--checkpoint", str(bad), "--recurrences", "1",
+                 "--items", "1"]) == EXIT_FORMAT
+    assert "embed has dtype" in capsys.readouterr().err
 
 
 def test_exit_code_inconsistent_checkpoint_config(tmp_path, donor_ckpt,

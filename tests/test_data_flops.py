@@ -7,8 +7,8 @@ from recurfit.data import (BYTE_VOCAB, SEP_TOKEN, answer_mask, eval_batch,
                            generate_document, pack_corpus, phase_mixture,
                            sample_context, step_batch, validate_phases)
 from recurfit.errors import ContractError, InputError
-from recurfit.flops import (FlopMeter, effective_params, flops_fixed,
-                            flops_for_step)
+from recurfit.flops import (FlopMeter, flops_fixed, flops_for_step,
+                            recurrent_split)
 from recurfit.random import RandomStream
 from recurfit.schedules import CurriculumSpec, curriculum_mean
 from recurfit.surgery import ParamReport
@@ -211,9 +211,11 @@ def test_flops_boundary_equals_window():
 
 
 def test_effective_params_formula():
+    """N1 + N2 at depth r is P + C + r*(R + A), whatever the window."""
     rep = report(100, 40, 100, 10)
-    assert effective_params(rep, 1) == 250
-    assert effective_params(rep, 32) == 200 + 32 * 50
+    for w in (1, 8, 64):
+        assert sum(recurrent_split(rep, 1, w)) == 250
+        assert sum(recurrent_split(rep, 32, w)) == 200 + 32 * 50
 
 
 def test_flop_meter_accumulates():
@@ -221,7 +223,7 @@ def test_flop_meter_accumulates():
     rep = report(100, 40, 100, 10)
     v1 = meter.add_recurrent(rep, 32.0, 8, 1000)
     assert meter.cumulative == pytest.approx(v1)
-    v2 = meter.add_fixed(10 ** 6, 10)
+    v2 = meter.add(10 ** 6, 0, 10)
     assert v2 == pytest.approx(6e7)
     assert meter.cumulative == pytest.approx(v1 + v2)
 

@@ -10,7 +10,6 @@ from recurfit import autograd as ag
 from recurfit.data import answer_mask, eval_batch
 from recurfit.errors import ContractError
 from recurfit.evaluate import (DEFAULT_RECURRENCES, eval_sweep, val_loss)
-from recurfit.flops import effective_params
 from recurfit.model import (FixedModel, ModelConfig, RecurrenceRun,
                             forward_fixed, forward_recurrent, init_fixed,
                             init_recurrent)
@@ -54,9 +53,11 @@ def test_sweep_rows_and_effective_params():
     model = fresh_recurrent()
     result = eval_sweep(model, "plain", recurrences=(1, 4), n_items=8)
     assert [row.r for row in result.rows] == [1, 4]
-    report = count_parameters(CFG, (1, 1, 1))
+    rep = count_parameters(CFG, (1, 1, 1))
     for row in result.rows:
-        assert row.effective_params == effective_params(report, row.r)
+        assert row.effective_params == (
+            rep.prelude + rep.coda
+            + row.r * (rep.recurrent_block + rep.adapter))
         assert row.flop_proxy == pytest.approx(2.0 * row.effective_params)
         assert math.isfinite(row.loss)
         assert 0.0 <= row.accuracy <= 1.0

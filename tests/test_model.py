@@ -32,6 +32,40 @@ def test_config_invariants():
                     head_dim=8, ffn_width=8, context_length=0)
 
 
+@pytest.mark.parametrize("field", ["vocab_size", "hidden", "n_query_heads",
+                                   "n_kv_heads", "head_dim", "ffn_width",
+                                   "context_length"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_sizes_are_at_least_one(field, value):
+    """n_kv_heads = 0 used to raise ZeroDivisionError."""
+    sizes = dict(vocab_size=10, hidden=16, n_query_heads=2, n_kv_heads=1,
+                 head_dim=8, ffn_width=8, context_length=4)
+    with pytest.raises(ContractError, match=f"{field} must be >= 1"):
+        ModelConfig(**dict(sizes, **{field: value}))
+
+
+@pytest.mark.parametrize("init,counts", [
+    (init_fixed, -1), (init_recurrent, (1, -1, 1)),
+    (init_recurrent, (-1, 2, 1))])
+def test_init_rejects_negative_layer_counts(tiny_cfg, init, counts):
+    with pytest.raises(ContractError, match="layer counts"):
+        init(tiny_cfg, counts, RandomStream(0, "init"))
+
+
+def test_recurrence_sweep_serves_fixed_model_once(tiny_fixed):
+    """A fixed model has no recurrence: every r reads the one forward."""
+    tokens = np.array([[1, 2, 3, 4]])
+    want = forward_fixed(tiny_fixed, tokens).data
+    rows = list(recurrence_sweep(tiny_fixed, tokens, [4, 1, 4, 2],
+                                 RandomStream(0, "s0")))
+    assert [r for r, _ in rows] == [1, 2, 4]
+    assert rows[0][1] is rows[-1][1]
+    np.testing.assert_array_equal(rows[0][1].data, want)
+    with pytest.raises(ContractError, match=">= 1"):
+        list(recurrence_sweep(tiny_fixed, tokens, [0, 1],
+                              RandomStream(0, "s0")))
+
+
 def test_block_preserves_shape(tiny_cfg, tiny_fixed):
     x = Tensor(np.random.default_rng(0).standard_normal((2, 5, 16)))
     out = decoder_block(x, tiny_fixed.blocks[0], tiny_cfg)

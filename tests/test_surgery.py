@@ -122,9 +122,9 @@ def test_true_convention_adds_adapter_and_final_norm():
 
 
 def test_fixed_donor_body_counts():
-    assert count_fixed_params(TINYLLAMA, 22)["body"] == 968_976_384
-    assert count_fixed_params(LLAMA, 16)["body"] == 973_146_112
-    assert count_fixed_params(OLMO, 16)["body"] == 1_073_874_944
+    assert count_fixed_params(TINYLLAMA, 22) == 968_976_384
+    assert count_fixed_params(LLAMA, 16) == 973_146_112
+    assert count_fixed_params(OLMO, 16) == 1_073_874_944
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +415,18 @@ def _drop(d, key):
     ("recurrent", lambda m: dict(m, plan_tuple=[1, 2, 1, 1])),
     ("fixed", lambda m: dict(m, config=dict(m["config"], hiden=16))),
     ("fixed", lambda m: dict(m, config=dict(m["config"], hidden=17))),
+    ("fixed", lambda m: dict(m, config=dict(m["config"], n_kv_heads=0))),
+    ("fixed", lambda m: dict(m, depth=-1)),
+    ("fixed", lambda m: dict(m, depth="6")),
+    ("fixed", lambda m: dict(m, depth=True)),
+    ("recurrent", lambda m: dict(m, plan_tuple=[1, "a", 1])),
+    ("recurrent", lambda m: dict(m, plan_tuple=[1, 1.5, 1])),
+    ("recurrent", lambda m: dict(m, plan_tuple=[1, -1, 1])),
+    ("fixed", lambda m: dict(m, depth=10 ** 12)),
 ], ids=["no-config", "no-kind", "no-depth", "no-plan-tuple", "long-plan-tuple",
-        "unknown-key", "hidden-vs-heads"])
+        "unknown-key", "hidden-vs-heads", "zero-kv-heads", "negative-depth",
+        "string-depth", "bool-depth", "string-plan-entry", "float-plan-entry",
+        "negative-plan-entry", "depth-beyond-tensors"])
 def test_checkpoint_bad_metadata(toy_donor, kind, edit):
     ckpt = toy_donor
     if kind == "recurrent":
@@ -425,6 +435,34 @@ def test_checkpoint_bad_metadata(toy_donor, kind, edit):
     model_from_checkpoint(ckpt)
     with pytest.raises(FormatError):
         model_from_checkpoint(Checkpoint(edit(ckpt.metadata), ckpt.tensors))
+
+
+@pytest.mark.parametrize("dtype", ["<U8", np.complex128, np.int64,
+                                   np.float16, bool])
+@pytest.mark.parametrize("name", ["embed", "layers.3.wq"])
+def test_model_tensor_must_be_float32_or_float64(toy_donor, name, dtype):
+    """Loading, surgery and pruning read tensors through one dtype check;
+    a stored dtype that is not float32/float64 is a format error, not a
+    numpy TypeError or a silent cast."""
+    tensors = dict(toy_donor.tensors)
+    tensors[name] = tensors[name].astype(dtype)
+    bad = Checkpoint(toy_donor.metadata, tensors)
+    plan = make_plan((1, 2, 1), 6)
+    for call in (lambda: model_from_checkpoint(bad),
+                 lambda: model_from_checkpoint(bad, dtype=np.float64),
+                 lambda: apply_surgery(bad, plan, "identity-pass",
+                                       noise_std=0.0),
+                 lambda: pruned_donor(bad, plan)):
+        with pytest.raises(FormatError, match=f"{name} has dtype .*, not "
+                                              f"float32/64"):
+            call()
+
+
+def test_model_tensors_keep_float32_and_float64(toy_donor):
+    for dtype in (np.float32, np.float64):
+        tensors = {k: v.astype(dtype) for k, v in toy_donor.tensors.items()}
+        model = model_from_checkpoint(Checkpoint(toy_donor.metadata, tensors))
+        assert model.embed.dtype == dtype
 
 
 def test_pruned_donor_missing_tensor(toy_donor):

@@ -342,5 +342,5 @@ def test_fixed_init_checkpoint_trains_as_fixed(tmp_path):
     model_to_checkpoint(init_fixed(FLOP_CFG, 3, RandomStream(0, "init"))).save(init)
     row = one_step_from(init, tmp_path / "run")
     assert int(row[4]) == 1  # sampled_r
-    body = count_fixed_params(FLOP_CFG, 3)["body"]
+    body = count_fixed_params(FLOP_CFG, 3)
     assert float(row[7]) == flops_fixed(body, 32)
