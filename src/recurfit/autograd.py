@@ -13,6 +13,9 @@ every parameter stay cheap.
 backward has run, so activations, the arrays its closure saved and its
 gradient are freed as the walk goes, and it returns the gradients of
 leaves only (parameters, inputs, constants).
+
+Ops do not check results for NaN/Inf; checkpoint tensors are checked at
+load, and losses, gradient norms and layer scores where they are read.
 """
 
 from __future__ import annotations
@@ -21,18 +24,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ContractError, InputError, NonFiniteError, ShapeError
+from .errors import ContractError, InputError, ShapeError
 
 _ACTIVE_TAPE: "Tape | None" = None
-_CHECK_FINITE = True
-
-
-def set_check_finite(enabled: bool) -> bool:
-    """Toggle per-op finiteness asserts; returns the previous setting."""
-    global _CHECK_FINITE
-    previous = _CHECK_FINITE
-    _CHECK_FINITE = enabled
-    return previous
 
 
 class Tensor:
@@ -102,8 +96,6 @@ def no_record():
 
 
 def _make(data: np.ndarray, parents, backward_fn) -> Tensor:
-    if _CHECK_FINITE and not np.isfinite(data).all():
-        raise NonFiniteError("op produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = data
     if _ACTIVE_TAPE is not None:

@@ -11,16 +11,19 @@ across runs.
 Each micro-batch is run once: the recurrence iterates up to the largest
 requested r and every requested r is read out on the way, so a sweep
 costs max(r) recurrent passes per micro-batch, not sum(r). The forwards
-run under `ag.no_record()` and never grow a caller's tape.
+run under `ag.no_record()` and never grow a caller's tape. A non-finite
+loss, such as weights that overflow the forward give, raises.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 from . import autograd as ag
 from .data import answer_mask, eval_batch
+from .errors import NonFiniteError
 from .flops import param_split
 from .model import recurrence_sweep, section_counts
 from .random import RandomStream
@@ -82,6 +85,8 @@ def _loss_and_accuracy(model, dataset_id: str, recurrences, s0_seed: int,
                 m = mask[sl]
                 acc = sums.setdefault(r, [0.0, 0, 0, 0])
                 acc[0] += float(nll.sum())
+                if not math.isfinite(acc[0]):
+                    raise NonFiniteError(f"loss at r={r} is not finite")
                 acc[1] += nll.size
                 acc[2] += int(((pred == targets[sl]) & m).sum())
                 acc[3] += int(m.sum())

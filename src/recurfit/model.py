@@ -25,30 +25,28 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .errors import ContractError, InputError
+from .fields import bounded, check
 from .random import RandomStream
 
 
 @dataclass
 class ModelConfig:
-    vocab_size: int
-    hidden: int
-    n_query_heads: int
-    n_kv_heads: int
-    head_dim: int
-    ffn_width: int
-    context_length: int = 1024
-    rope_base: float = 10000.0
-    norm_eps: float = 1e-5
-    sigma_s0: float = 0.02
+    vocab_size: int = bounded(1)
+    hidden: int = bounded(1)
+    n_query_heads: int = bounded(1)
+    n_kv_heads: int = bounded(1)
+    head_dim: int = bounded(1)
+    ffn_width: int = bounded(1)
+    context_length: int = bounded(1, default=1024)
+    rope_base: float = bounded(above=0, default=10000.0)
+    norm_eps: float = bounded(above=0, default=1e-5)
+    sigma_s0: float = bounded(0, default=0.02)
     tie_embeddings: bool = False
     qk_norm: bool = False
     post_norm: bool = False
 
     def __post_init__(self):
-        for name in ("vocab_size", "hidden", "n_query_heads", "n_kv_heads",
-                     "head_dim", "ffn_width", "context_length"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be >= 1")
+        check(self)
         if self.hidden != self.n_query_heads * self.head_dim:
             raise ContractError(
                 f"hidden ({self.hidden}) must equal n_query_heads*head_dim "
@@ -105,15 +103,12 @@ class BlockWeights:
 @dataclass
 class RecurrenceRun:
     """Recurrent passes to run, how many carry gradients, and s0's stream."""
-    r: int
-    window: int
+    r: int = bounded(1)
+    window: int = bounded(1)
     s0_stream: RandomStream
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ContractError(f"recurrence count must be >= 1, got {self.r}")
-        if self.window < 1:
-            raise ContractError(f"backprop window must be >= 1, got {self.window}")
+        check(self)
 
     @property
     def detach_boundary(self) -> int:

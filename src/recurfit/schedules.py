@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ContractError
+from .fields import bounded, check
 from .random import RandomStream
 
 CURRICULUM_SHAPES = ("constant", "linear", "one-minus-sqrt")
@@ -22,14 +23,11 @@ CURRICULUM_SHAPES = ("constant", "linear", "one-minus-sqrt")
 
 @dataclass
 class DepthDistribution:
-    mean: float
-    spread: float = 0.5
+    mean: float = bounded(1)
+    spread: float = bounded(0, default=0.5)
 
     def __post_init__(self):
-        if self.mean < 1:
-            raise ContractError(f"depth mean must be >= 1, got {self.mean}")
-        if self.spread < 0:
-            raise ContractError("spread must be >= 0")
+        check(self)
 
 
 def sample_recurrence(dist: DepthDistribution, stream: RandomStream) -> int:
@@ -43,14 +41,13 @@ def sample_recurrence(dist: DepthDistribution, stream: RandomStream) -> int:
 @dataclass
 class CurriculumSpec:
     shape: str = "constant"
-    target: int = 32
-    warmup_steps: int = 0
+    target: int = bounded(1, default=32)
+    warmup_steps: int = bounded(0, default=0)
 
     def __post_init__(self):
+        check(self)
         if self.shape not in CURRICULUM_SHAPES:
             raise ContractError(f"unknown curriculum shape {self.shape!r}")
-        if self.target < 1:
-            raise ContractError("curriculum target must be >= 1")
 
 
 def curriculum_mean(spec: CurriculumSpec, step: int) -> int:
@@ -69,7 +66,7 @@ def curriculum_mean(spec: CurriculumSpec, step: int) -> int:
 
 @dataclass
 class WindowSchedule(CurriculumSpec):
-    target: int = 8
+    target: int = bounded(1, default=8)
 
 
 def window_at(ws: WindowSchedule, step: int) -> int:
@@ -79,10 +76,13 @@ def window_at(ws: WindowSchedule, step: int) -> int:
 
 @dataclass
 class WsdSpec:
-    peak: float
-    warmup_steps: int = 0
-    stable_steps: int = 0
-    decay_steps: int = 0
+    peak: float = bounded(0)
+    warmup_steps: int = bounded(0, default=0)
+    stable_steps: int = bounded(0, default=0)
+    decay_steps: int = bounded(0, default=0)
+
+    def __post_init__(self):
+        check(self)
 
 
 def lr_at(wsd: WsdSpec, step: int) -> float:

@@ -12,7 +12,8 @@ at r=1 behaves like the pruned donor.
 Surgery, pruning and checkpoint loading read tensors through `_build`
 and write through `model_to_checkpoint`, so tensor names and shapes
 follow the model's layout tables; a missing metadata key, a missing
-tensor or a tensor of the wrong shape is a `FormatError`.
+tensor or a tensor of the wrong shape is a `FormatError`, and one
+holding NaN/Inf a `NonFiniteError`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import numpy as np
 
 from .autograd import Tensor
 from .checkpoint import Checkpoint
-from .errors import ContractError, FormatError, PlanError
+from .errors import ContractError, FormatError, NonFiniteError, PlanError
+from .fields import build, fits
 from .model import (BlockWeights, FixedModel, ModelConfig, assemble,
                     block_shapes, forward_fixed_hidden, outer_shapes,
                     section_counts)
@@ -150,6 +152,8 @@ def _tensor(tensors: dict, name: str, shape: tuple, dtype=None) -> Tensor:
     if data.shape != shape:
         raise FormatError(f"checkpoint tensor {name} has shape {data.shape}, "
                           f"the model config needs {shape}")
+    if not np.isfinite(data).all():
+        raise NonFiniteError(f"checkpoint tensor {name} is not finite")
     return Tensor(np.asarray(data, dtype=dtype))
 
 
@@ -178,19 +182,14 @@ _SECTIONS = {"fixed": ("layers",), "recurrent": ("prelude", "recurrent",
 def checkpoint_layout(meta: dict) -> tuple:
     """(ModelConfig, section counts) that checkpoint metadata names:
     (depth,) for a fixed model, (p, r, c) for a recurrent one."""
-    try:
-        cfg = ModelConfig(**_meta(meta, "config"))
-    except (TypeError, ContractError) as exc:
-        raise FormatError(f"checkpoint config: {exc}") from exc
+    cfg = build(ModelConfig, _meta(meta, "config"), "config", FormatError)
     kind = _meta(meta, "kind")
-    if kind == "fixed":
-        counts = [_meta(meta, "depth")]
-    elif kind == "recurrent":
-        counts = _meta(meta, "plan_tuple")
-    else:
+    if kind not in _SECTIONS:
         raise FormatError(f"unknown checkpoint kind {kind!r}")
-    if not (isinstance(counts, list) and len(counts) == len(_SECTIONS[kind])
-            and all(type(n) is int and n >= 0 for n in counts)):
+    counts = ([_meta(meta, "depth")] if kind == "fixed"
+              else _meta(meta, "plan_tuple"))
+    if not (fits(counts, list[int]) and len(counts) == len(_SECTIONS[kind])
+            and min(counts) >= 0):
         raise FormatError(f"checkpoint layer counts {counts!r} are invalid")
     return cfg, tuple(counts)
 
@@ -286,4 +285,6 @@ def block_influence_scores(model: FixedModel, calibration_tokens) -> list:
         denom = (np.linalg.norm(x_in, axis=-1) *
                  np.linalg.norm(x_out, axis=-1) + 1e-12)
         scores.append(float(1.0 - np.mean(num / denom)))
+    if not np.isfinite(scores).all():
+        raise NonFiniteError(f"block influence scores {scores} are not finite")
     return scores

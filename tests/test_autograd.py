@@ -181,24 +181,6 @@ def test_gradients_bitwise_deterministic():
     assert np.array_equal(g1, g2)
 
 
-def test_nonfinite_output_raises():
-    from recurfit.errors import NonFiniteError
-    big = Tensor(np.array([1e308]))
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-        ag.mul(big, big)
-
-
-def test_check_finite_toggle():
-    big = Tensor(np.array([1e308]))
-    previous = ag.set_check_finite(False)
-    try:
-        with np.errstate(over="ignore"):
-            out = ag.mul(big, big)
-        assert np.isinf(out.data).all()
-    finally:
-        ag.set_check_finite(previous)
-
-
 def test_zero_logits_cross_entropy_is_log_vocab():
     loss = ag.cross_entropy_mean(Tensor(np.zeros((1, 3, 5))),
                                  np.array([[0, 4, 2]]))

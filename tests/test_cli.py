@@ -1,11 +1,13 @@
 """Config loading and the command-line interface (run in-process)."""
 
 import csv
+import dataclasses
 import json
 import os
 import struct
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +16,15 @@ import pytest
 from recurfit.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_FORMAT,
                           EXIT_OK, main)
 from recurfit.checkpoint import Checkpoint
-from recurfit.config import load_config
+from recurfit.config import RunConfig, load_config
 from recurfit.errors import ConfigError, FormatError
 from recurfit.flops import flops_fixed, flops_for_step
 import recurfit.model as model_module
 import recurfit.train as train_module
 from recurfit.model import ModelConfig, init_fixed
 from recurfit.random import RandomStream
-from recurfit.schedules import curriculum_mean, lr_at, window_at
+from recurfit.schedules import (CurriculumSpec, WindowSchedule, WsdSpec,
+                                curriculum_mean, lr_at, window_at)
 from recurfit.surgery import (apply_surgery, count_fixed_params,
                               count_parameters, make_plan, model_to_checkpoint)
 from recurfit.train import train
@@ -146,10 +149,21 @@ def test_malformed_config_is_config_error(tmp_path, capsys, make, overrides,
     ({"model_kind": "fixed", "fixed_depth": -1}, "fixed_depth"),
     ({"plan_tuple": [-1, 2, 1]}, "plan_tuple"),
     ({"model": dict(MODEL, n_kv_heads=0)}, "n_kv_heads"),
+    ({"emb_scale": 0}, "emb_scale"),
+    ({"grad_clip": 0}, "grad_clip"),
+    ({"lr": {"peak": -1}}, "lr.peak"),
+    ({"adapter_noise_std": -1}, "adapter_noise_std"),
+    ({"curriculum": {"target": 4, "warmup_steps": -5}},
+     "curriculum.warmup_steps"),
+    ({"max_nonfinite": -3}, "max_nonfinite"),
+    ({"lr": {"peak": 1e-3, "decay_steps": -2}}, "lr.decay_steps"),
 ], ids=["lr-peak-str", "grad-clip-str", "hyper-str", "hyper-null",
         "seed-float", "seed-bool", "steps-str", "plan-bool-entry",
         "plan-str", "tie-int", "target-float", "init-checkpoint-int",
-        "negative-fixed-depth", "negative-plan-entry", "zero-kv-heads"])
+        "negative-fixed-depth", "negative-plan-entry", "zero-kv-heads",
+        "zero-emb-scale", "zero-grad-clip", "negative-lr-peak",
+        "negative-adapter-noise", "negative-warmup", "negative-max-nonfinite",
+        "negative-decay"])
 def test_wrong_typed_or_negative_config_value_is_config_error(
         tmp_path, capsys, extra, needle):
     path = write_config(tmp_path, **extra)
@@ -158,6 +172,21 @@ def test_wrong_typed_or_negative_config_value_is_config_error(
     assert main(["train", "--config", str(path)]) == EXIT_CONFIG
     assert needle in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+# Number fields that take any value of their type; every other int or
+# float field of a config section declares a bound.
+UNBOUNDED = {(RunConfig, "seed")}
+
+
+@pytest.mark.parametrize("cls", [RunConfig, ModelConfig, CurriculumSpec,
+                                 WindowSchedule, WsdSpec])
+def test_every_number_field_declares_a_bound(cls):
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if hints[f.name] in (int, float) and (cls, f.name) not in UNBOUNDED:
+            assert f.metadata.get("least") is not None or \
+                f.metadata.get("above") is not None, f.name
 
 
 def test_config_types_accept_ints_for_floats_and_null_paths(tmp_path):
@@ -385,6 +414,17 @@ def _nan_checkpoint(tmp_path, source, name):
     return path
 
 
+def _overflow_checkpoint(tmp_path, source, name):
+    """A finite float64 copy of `source` whose tensor `name` is all 1e308,
+    so that the forward overflows."""
+    ckpt = Checkpoint.load(source)
+    ckpt.tensors = {k: v.astype(np.float64) for k, v in ckpt.tensors.items()}
+    ckpt.tensors[name][...] = 1e308
+    path = tmp_path / "overflow.rfck"
+    ckpt.save(path)
+    return path
+
+
 def test_exit_code_nonfinite_checkpoint(tmp_path, donor_ckpt, capsys):
     cut = tmp_path / "retro.rfck"
     assert main(["surgery", "--donor", str(donor_ckpt), "--plan-tuple",
@@ -396,6 +436,39 @@ def test_exit_code_nonfinite_checkpoint(tmp_path, donor_ckpt, capsys):
     assert main(["layer-scores", "--checkpoint", str(fixed), "--items", "2",
                  "--context", "16"]) == EXIT_DIVERGENCE
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_train_from_nonfinite_checkpoint_stops_before_any_step(
+        tmp_path, donor_ckpt, capsys):
+    nan = _nan_checkpoint(tmp_path, donor_ckpt, "layers.1.wq")
+    config = write_config(tmp_path, init_checkpoint=str(nan))
+    assert main(["train", "--config", str(config)]) == EXIT_DIVERGENCE
+    assert "layers.1.wq is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
+def test_surgery_on_nonfinite_donor_writes_nothing(tmp_path, donor_ckpt,
+                                                   capsys):
+    nan = _nan_checkpoint(tmp_path, donor_ckpt, "layers.3.wq")
+    out = tmp_path / "retro.rfck"
+    assert main(["surgery", "--donor", str(nan), "--plan-tuple", "1,2,1",
+                 "--out", str(out)]) == EXIT_DIVERGENCE
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readout_of_overflowing_forward_is_nonfinite(tmp_path, donor_ckpt,
+                                                     capsys):
+    """Finite weights whose forward overflows: the eval loss and the layer
+    scores are checked where they are read out."""
+    unembed = _overflow_checkpoint(tmp_path, donor_ckpt, "unembed")
+    assert main(["eval", "--checkpoint", str(unembed), "--recurrences", "1",
+                 "--items", "2"]) == EXIT_DIVERGENCE
+    assert "loss at r=1 is not finite" in capsys.readouterr().err
+    w_down = _overflow_checkpoint(tmp_path, donor_ckpt, "layers.3.w_down")
+    assert main(["layer-scores", "--checkpoint", str(w_down), "--items", "2",
+                 "--context", "16"]) == EXIT_DIVERGENCE
+    assert "scores" in capsys.readouterr().err
 
 
 def test_module_entry_point_exit_status(tmp_path):

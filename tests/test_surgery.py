@@ -289,8 +289,12 @@ def test_surgery_adapter_noise(toy_donor):
     (lambda d: block_influence_scores(model_from_checkpoint(d),
                                       np.zeros((1, 0), dtype=np.int64)),
      InputError, "nonempty"),
+    (lambda d: apply_surgery(d, make_plan((1, 2, 1), 6), "bogus",
+                             RandomStream(0, "adapter")),
+     ContractError, "unknown adapter init"),
 ], ids=["convention", "kind", "recurrent-donor", "noise-without-stream",
-        "scaled-random-without-stream", "empty-calibration"])
+        "scaled-random-without-stream", "empty-calibration",
+        "unknown-adapter-init"])
 def test_surgery_contract_errors(toy_donor, call, error, needle):
     with pytest.raises(error, match=needle):
         call(toy_donor)
@@ -423,10 +427,19 @@ def _drop(d, key):
     ("recurrent", lambda m: dict(m, plan_tuple=[1, 1.5, 1])),
     ("recurrent", lambda m: dict(m, plan_tuple=[1, -1, 1])),
     ("fixed", lambda m: dict(m, depth=10 ** 12)),
+    ("fixed", lambda m: dict(m, config=dict(m["config"], head_dim=8.0))),
+    ("fixed", lambda m: dict(m, config=dict(m["config"], n_query_heads=2.0))),
+    ("fixed", lambda m: dict(m, config=dict(m["config"], context_length=8.5))),
+    ("fixed", lambda m: dict(m, config=dict(m["config"], norm_eps="x"))),
+    ("fixed", lambda m: dict(m, config=dict(m["config"], rope_base=None))),
+    ("fixed", lambda m: dict(m, config=dict(m["config"], tie_embeddings="no"))),
+    ("recurrent", lambda m: dict(m, config=dict(m["config"], sigma_s0=-1))),
 ], ids=["no-config", "no-kind", "no-depth", "no-plan-tuple", "long-plan-tuple",
         "unknown-key", "hidden-vs-heads", "zero-kv-heads", "negative-depth",
         "string-depth", "bool-depth", "string-plan-entry", "float-plan-entry",
-        "negative-plan-entry", "depth-beyond-tensors"])
+        "negative-plan-entry", "depth-beyond-tensors", "float-head-dim",
+        "float-query-heads", "float-context", "string-norm-eps",
+        "null-rope-base", "string-tie-embeddings", "negative-sigma-s0"])
 def test_checkpoint_bad_metadata(toy_donor, kind, edit):
     ckpt = toy_donor
     if kind == "recurrent":

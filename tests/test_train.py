@@ -2,6 +2,9 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 
 import recurfit.train as train_mod
 from recurfit.checkpoint import Checkpoint
-from recurfit.config import RunConfig
+from recurfit.config import RunConfig, resolved_config_json
 from recurfit.errors import DivergenceError, FormatError, NonFiniteError
 from recurfit.evaluate import val_loss
 from recurfit.flops import flops_fixed, flops_for_step
@@ -170,6 +173,58 @@ def test_resume_in_place_drops_rows_past_the_checkpoint(tmp_path):
     assert (out / "final.rfck").read_bytes() == final
 
 
+# Dies the way a killed process does, right after its second checkpoint.
+KILLED_RUN = """
+import os, sys
+import recurfit.train as train_mod
+from recurfit.config import load_config
+save = train_mod._save_checkpoint
+def save_then_die(path, *args):
+    save(path, *args)
+    if path.name == "ckpt_step6.rfck":
+        os._exit(9)
+train_mod._save_checkpoint = save_then_die
+train_mod.train(load_config(sys.argv[1]))
+"""
+
+
+def test_kill_after_checkpoint_resumes_to_uninterrupted_run(tmp_path):
+    full = train(tiny_run(tmp_path / "full", 12, checkpoint_interval=3))
+    out = tmp_path / "run"
+    cfg = tiny_run(out, 12, checkpoint_interval=3)
+    (tmp_path / "config.json").write_text(resolved_config_json(cfg))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    killed = subprocess.run([sys.executable, "-c", KILLED_RUN,
+                             str(tmp_path / "config.json")], env=env)
+    assert killed.returncode == 9 and not (out / "final.rfck").exists()
+    train(cfg, resume_from=str(out / "ckpt_step6.rfck"))
+    assert (out / "metrics.csv").read_bytes() == \
+        Path(full["metrics"]).read_bytes()
+    assert (out / "final.rfck").read_bytes() == \
+        Path(full["final_checkpoint"]).read_bytes()
+
+
+def test_resume_drops_a_torn_last_line(tmp_path):
+    out = tmp_path / "run"
+    cfg = tiny_run(out, 12, checkpoint_interval=3)
+    train(cfg)
+    metrics = (out / "metrics.csv").read_bytes()
+    final = (out / "final.rfck").read_bytes()
+    lines = metrics.splitlines(keepends=True)
+    # killed after checkpoint 9 while writing the row of step 10
+    (out / "metrics.csv").write_bytes(b"".join(lines[:1 + 10]) + b"1")
+    train(cfg, resume_from=str(out / "ckpt_step9.rfck"))
+    assert (out / "metrics.csv").read_bytes() == metrics
+    assert (out / "final.rfck").read_bytes() == final
+    # an earlier row that is missing, torn or not text is a format error
+    for row in ([], [b"4,2\r\n"], [b"\xff\r\n"]):
+        edit = lines[:1 + 4] + row + lines[1 + 5:]
+        (out / "metrics.csv").write_bytes(b"".join(edit))
+        with pytest.raises(FormatError, match="below step 9"):
+            train(cfg, resume_from=str(out / "ckpt_step9.rfck"))
+
+
 def _without_optimizer_state(ckpt):
     return Checkpoint(ckpt.metadata, {k: v for k, v in ckpt.tensors.items()
                                       if not k.startswith("optimizer.")})
@@ -185,9 +240,17 @@ def _surgery_output(_ckpt):
                          "identity-pass", noise_std=0.0)
 
 
+def _with_step(step):
+    return lambda ckpt: Checkpoint(dict(ckpt.metadata, step=step),
+                                   ckpt.tensors)
+
+
 @pytest.mark.parametrize("make_bad,missing", [
-    (_surgery_output, "'step'"), (_without_optimizer_state, "'t'")],
-    ids=["surgery-output", "no-optimizer-state"])
+    (_surgery_output, "'step'"), (_without_optimizer_state, "'t'"),
+    (_with_step("x"), "step"), (_with_step(None), "step"),
+    (_with_step(1.7), "step"), (_with_step(-5), "step")],
+    ids=["surgery-output", "no-optimizer-state", "string-step", "null-step",
+         "float-step", "negative-step"])
 def test_resume_without_training_state_is_format_error(tmp_path, make_bad,
                                                        missing):
     train(tiny_run(tmp_path / "run", 2, checkpoint_interval=1))
