@@ -14,6 +14,13 @@ backward has run, so activations, the arrays its closure saved and its
 gradient are freed as the walk goes, and it returns the gradients of
 leaves only (parameters, inputs, constants).
 
+The fused ops keep the bits of their textbook formulas while making
+fewer passes: the attention softmax runs in place on whole (n, n)
+products (row blocks of a product can round differently on OpenBLAS),
+RoPE adds a half-swapped view instead of concatenating halves, and work
+arrays that die inside an op come from `_scratch`, so that a call does
+not pay page faults for fresh arrays.
+
 Ops do not check results for NaN/Inf; checkpoint tensors are checked at
 load, and losses, gradient norms and layer scores where they are read.
 """
@@ -108,6 +115,31 @@ def _make(data: np.ndarray, parents, backward_fn) -> Tensor:
     return out
 
 
+_SCRATCH: dict = {}
+_SCRATCH_LIMIT = 32
+
+
+def _scratch(slot: str, shape: tuple, dtype, zeroed: bool = False):
+    """A work array that an op reuses from call to call.
+
+    It holds values that die inside the op call (or inside one backward
+    call), so the next call with the same slot, shape and dtype may
+    overwrite it; nothing returned or kept for backward may live in it.
+    A `zeroed` array starts as zeros, and its user keeps whatever part it
+    relies on zero. A fresh array of a few hundred KB is mapped and
+    faulted in page by page on each call, which costs more than the
+    arithmetic done in it. At most `_SCRATCH_LIMIT` arrays are kept;
+    past that all are dropped. The arrays are shared by every caller in
+    the process, so ops must not run in two threads at once."""
+    key = (slot, shape, np.dtype(dtype))
+    buf = _SCRATCH.get(key)
+    if buf is None:
+        if len(_SCRATCH) >= _SCRATCH_LIMIT:
+            _SCRATCH.clear()
+        buf = _SCRATCH[key] = (np.zeros if zeroed else np.empty)(shape, dtype)
+    return buf
+
+
 def backward(loss: Tensor, tape: Tape) -> dict:
     """Reverse accumulation from a scalar loss, consuming the tape.
 
@@ -139,12 +171,10 @@ def backward(loss: Tensor, tape: Tape) -> dict:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum grad down to `shape` after numpy broadcasting."""
+    """Sum grad down to `shape`, which broadcasting extended by leading
+    axes only (a bias or gain over the trailing axes)."""
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
     return grad
 
 
@@ -234,29 +264,50 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
-    """y = x / rms(x) * gain over the last axis."""
-    inv = 1.0 / np.sqrt(np.mean(x.data ** 2, axis=-1, keepdims=True) + eps)
-    data = x.data * inv * gain.data
+    """y = x / rms(x) * gain over the last axis of x seen in gain's shape.
+
+    A (h,) gain normalises whole rows; an (H, d) gain normalises each of
+    the H heads of a (..., H*d) projection in place of a head split."""
+    xs = x.data.reshape(x.data.shape[:-1] + gain.data.shape)
+    width = xs.shape[-1]
+    squares = np.square(xs, out=_scratch("rms_norm", xs.shape, xs.dtype))
+    inv = 1.0 / np.sqrt(squares.sum(axis=-1, keepdims=True) / width + eps)
+    data = xs * inv
+    if np.result_type(data, gain.data) == data.dtype:
+        data *= gain.data
+    else:
+        data = data * gain.data
+    data = data.reshape(x.data.shape)
 
     def bwd(g):
+        g = g.reshape(xs.shape)
         u = g * gain.data
-        gx = inv * u - x.data * inv ** 3 * np.mean(x.data * u, axis=-1,
-                                                   keepdims=True)
-        ggain = _unbroadcast(g * x.data * inv, gain.data.shape)
-        return gx, ggain
+        gx = inv * u - xs * inv ** 3 * np.mean(xs * u, axis=-1,
+                                               keepdims=True)
+        ggain = _unbroadcast(g * xs * inv, gain.data.shape)
+        return gx.reshape(x.data.shape), ggain
 
     return _make(data, (x, gain), bwd)
 
 
 def silu_glu(gate: Tensor, up: Tensor) -> Tensor:
-    """SwiGLU activation: silu(gate) * up."""
-    sig = 1.0 / (1.0 + np.exp(-gate.data))
-    s = gate.data * sig
-    data = s * up.data
+    """SwiGLU activation: silu(gate) * up.
+
+    sigmoid(gate) is built in one array (negate, exp, +1, reciprocal);
+    off the tape that array is scratch and also takes silu(gate). The
+    tape keeps sigmoid(gate) only; backward recomputes silu(gate)."""
+    taped = _ACTIVE_TAPE is not None
+    sig = np.negative(gate.data, out=None if taped else _scratch(
+        "silu", gate.data.shape, gate.data.dtype))
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.reciprocal(sig, out=sig)
+    data = np.multiply(gate.data, sig, out=None if taped else sig)
+    data = data * up.data
 
     def bwd(g):
         dsig = sig * (1.0 + gate.data * (1.0 - sig))
-        return g * up.data * dsig, g * s
+        return g * up.data * dsig, g * (gate.data * sig)
 
     return _make(data, (gate, up), bwd)
 
@@ -291,15 +342,33 @@ def expand_kv(x: Tensor, groups: int) -> Tensor:
 
 
 def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """Rotary position embedding on (B, H, n, d); cos/sin are (n, d/2)."""
-    half = x.data.shape[-1] // 2
-    x1, x2 = x.data[..., :half], x.data[..., half:]
-    data = np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+    """Rotary position embedding on a (B, n, H*d) projection, per head.
+
+    `cos` and `sin` are (n, 1, d) tables holding [cos, cos] and
+    [-sin, sin] (see `model.rope_tables`). The rotation is
+    x*cos + swap_halves(x)*sin and its backward g*cos + swap_halves(g*sin),
+    with swap_halves a view that exchanges the two halves of each head.
+    Both equal the textbook [x1 cos - x2 sin, x1 sin + x2 cos] and its
+    transpose bit for bit: a - b is a + (-b) in IEEE arithmetic, and
+    addition commutes."""
+    b, n = x.data.shape[:2]
+    width = cos.shape[-1]
+    pairs = (b, n, -1, 2, width // 2)
+    cos, sin = (t.reshape(n, 1, 2, width // 2) for t in (cos, sin))
+
+    def rotate(a, swapped_term):
+        out = a * cos
+        out += swapped_term
+        return out.reshape(x.data.shape)
+
+    xs = x.data.reshape(pairs)
+    term = _scratch("rope", xs.shape, np.result_type(xs, sin))
+    data = rotate(xs, np.multiply(xs[..., ::-1, :], sin, out=term))
 
     def bwd(g):
-        g1, g2 = g[..., :half], g[..., half:]
-        return (np.concatenate([g1 * cos + g2 * sin,
-                                -g1 * sin + g2 * cos], axis=-1),)
+        gs = g.reshape(pairs)
+        term = _scratch("rope", gs.shape, np.result_type(gs, sin))
+        return (rotate(gs, np.multiply(gs, sin, out=term)[..., ::-1, :]),)
 
     return _make(data, (x,), bwd)
 
@@ -324,6 +393,17 @@ def causal_attn(q: Tensor, k: Tensor, v: Tensor, att_scale: float) -> Tensor:
     and query head i reads kv head i // (H / Hk). The kv heads are
     broadcast over their query group, never copied; backward sums each
     group's kv gradient over the group axis.
+
+    The softmax runs in place. The scores land in scratch and are scaled
+    there, unless the scale promotes them (a float32 q with an np.float64
+    scale), in which case the scaled copy is the scratch. The row maximum
+    is `fmax`'s, the faster reduction: it differs from `max` only by
+    skipping NaN, and a row holding a NaN score is NaN either way, through
+    its sum. exp writes the kept entries only, into an attention array
+    whose future entries are already zero: a fresh zeroed array on the
+    tape, where backward keeps it, and otherwise one kept zeroed from call
+    to call. Both products stay whole (n, n) products, so they round as
+    before on any BLAS.
     """
     b, h, n, d = q.data.shape
     hk = k.data.shape[1]
@@ -333,20 +413,38 @@ def causal_attn(q: Tensor, k: Tensor, v: Tensor, att_scale: float) -> Tensor:
     groups = h // hk
     q5 = q.data.reshape(b, hk, groups, n, d)
     k5, v5 = k.data[:, :, None], v.data[:, :, None]
+    kt = np.swapaxes(k5, -1, -2)
+    shape = (b, hk, groups, n, n)
     future, kept = _causal_masks(n)
-    scores = (q5 @ np.swapaxes(k5, -1, -2)) * att_scale
+    scores = np.matmul(q5, kt, out=_scratch("scores", shape,
+                                            np.result_type(q5, kt)))
+    dtype = np.result_type(scores, att_scale)
+    if scores.dtype == dtype:
+        scores *= att_scale
+    else:
+        scores = np.multiply(scores, att_scale,
+                             out=_scratch("scaled", shape, dtype))
     np.copyto(scores, -np.inf, where=future)
-    scores -= scores.max(axis=-1, keepdims=True)
-    attn = np.zeros_like(scores)
+    scores -= np.fmax.reduce(scores, axis=-1, keepdims=True)
+    taped = _ACTIVE_TAPE is not None
+    attn = (np.zeros(shape, dtype) if taped
+            else _scratch("attn", shape, dtype, zeroed=True))
     np.exp(scores, out=attn, where=kept)
-    attn /= attn.sum(axis=-1, keepdims=True)
+    sums = attn.sum(axis=-1, keepdims=True)
+    attn /= sums
     data = (attn @ v5).reshape(b, h, n, d)
+    if not taped and not np.isfinite(sums).all():
+        np.copyto(attn, 0.0, where=future)  # 0 / nan left nan there
 
     def bwd(g):
         g5 = g.reshape(b, hk, groups, n, d)
-        d_attn = g5 @ np.swapaxes(v5, -1, -2)
         gv = (np.swapaxes(attn, -1, -2) @ g5).sum(axis=2)
-        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+        d_scores = g5 @ np.swapaxes(v5, -1, -2)
+        d_scores = d_scores.astype(np.result_type(d_scores, attn),
+                                   copy=False)
+        d_scores -= np.multiply(d_scores, attn, out=_scratch(
+            "d_attn_attn", shape, d_scores.dtype)).sum(axis=-1, keepdims=True)
+        d_scores *= attn
         d_scores *= att_scale
         gq = (d_scores @ k5).reshape(b, h, n, d)
         gk = (np.swapaxes(d_scores, -1, -2) @ q5).sum(axis=2)

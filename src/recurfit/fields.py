@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import typing
 
 from .errors import ContractError
@@ -19,7 +20,8 @@ def bounded(least=None, *, above=None, **field_kwargs):
 
 def fits(value, hint) -> bool:
     """Whether a value has the annotated type: a bool is not an int, a
-    float field takes an int, `list[T]`/`dict[str, T]` check items."""
+    float field takes an int but not a NaN or an infinity (JSON `NaN`
+    and `Infinity` parse), `list[T]`/`dict[str, T]` check items."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is typing.Literal:
         return any(type(value) is type(a) and value == a for a in args)
@@ -28,7 +30,10 @@ def fits(value, hint) -> bool:
         return type(value) is origin and all(fits(v, args[-1]) for v in items)
     if args:  # a union such as `str | None`
         return any(fits(value, arg) for arg in args)
-    return type(value) in ((int, float) if hint is float else (hint,))
+    if hint is float:
+        return type(value) is int or (type(value) is float
+                                      and math.isfinite(value))
+    return type(value) is hint
 
 
 @functools.cache
@@ -41,10 +46,12 @@ def _declared(cls) -> dict:
 def _problem(cls, name: str, value) -> str:
     """Why `value` does not suit field `name` of `cls`; "" if it does."""
     hint, least, above = _declared(cls)[name]
+    if type(value) is float and not math.isfinite(value):
+        return f": {value!r} is not finite"
     if not fits(value, hint):
         return (f": {value!r} is not of type "
                 f"{hint.__name__ if type(hint) is type else hint}")
-    if least is not None and not value >= least:  # NaN fails too
+    if least is not None and not value >= least:
         return f" must be >= {least}"
     if above is not None and not value > above:
         return f" must be > {above}"

@@ -53,6 +53,9 @@ class ModelConfig:
                 f"({self.n_query_heads}x{self.head_dim})")
         if self.n_query_heads % self.n_kv_heads != 0:
             raise ContractError("n_query_heads must be divisible by n_kv_heads")
+        if self.head_dim % 2:
+            raise ContractError(f"head_dim ({self.head_dim}) must be even: "
+                                "RoPE rotates pairs of halves")
 
     @property
     def kv_dim(self) -> int:
@@ -176,36 +179,44 @@ _ROPE_CACHE: dict = {}
 
 
 def rope_tables(n: int, head_dim: int, base: float, dtype) -> tuple:
+    """(n, 1, head_dim) tables [cos, cos] and [-sin, sin] for
+    `autograd.rope_rotate`, broadcast over the heads of a projection."""
     key = (n, head_dim, float(base), np.dtype(dtype).str)
     hit = _ROPE_CACHE.get(key)
     if hit is None:
         half = head_dim // 2
         inv_freq = base ** (-np.arange(half, dtype=np.float64) / half)
         angles = np.outer(np.arange(n), inv_freq)
-        hit = (np.cos(angles).astype(dtype), np.sin(angles).astype(dtype))
+        cos, sin = np.cos(angles), np.sin(angles)
+        hit = tuple(np.concatenate(pair, axis=-1).astype(dtype)[:, None]
+                    for pair in ((cos, cos), (-sin, sin)))
         _ROPE_CACHE[key] = hit
     return hit
 
 
 def decoder_block(x: Tensor, bw: BlockWeights, cfg: ModelConfig) -> Tensor:
-    """One pre-norm (or post-norm) residual block on (B, n, h) input."""
+    """One pre-norm (or post-norm) residual block on (B, n, h) input.
+
+    QK-norm and RoPE act on the contiguous (B, n, H*d) projections; the
+    heads are split off after them, as strided views."""
     n = x.shape[-2]
     if n > cfg.context_length:
         raise ContractError(f"sequence length {n} exceeds context "
                             f"{cfg.context_length}")
+    cos, sin = rope_tables(n, cfg.head_dim, cfg.rope_base, x.dtype)
+
+    def rotated_heads(a_in, w, n_heads, gain):
+        proj = ag.matmul(a_in, w)
+        if cfg.qk_norm:
+            proj = ag.rms_norm(proj, ag.reshape(gain, (n_heads, cfg.head_dim)),
+                               cfg.norm_eps)
+        return ag.split_heads(ag.rope_rotate(proj, cos, sin), n_heads,
+                              cfg.head_dim)
 
     def attention(a_in):
-        q = ag.split_heads(ag.matmul(a_in, bw.wq), cfg.n_query_heads, cfg.head_dim)
-        k = ag.split_heads(ag.matmul(a_in, bw.wk), cfg.n_kv_heads, cfg.head_dim)
+        q = rotated_heads(a_in, bw.wq, cfg.n_query_heads, bw.q_gain)
+        k = rotated_heads(a_in, bw.wk, cfg.n_kv_heads, bw.k_gain)
         v = ag.split_heads(ag.matmul(a_in, bw.wv), cfg.n_kv_heads, cfg.head_dim)
-        if cfg.qk_norm:
-            q = ag.rms_norm(q, ag.reshape(bw.q_gain, (cfg.n_query_heads, 1, cfg.head_dim)),
-                            cfg.norm_eps)
-            k = ag.rms_norm(k, ag.reshape(bw.k_gain, (cfg.n_kv_heads, 1, cfg.head_dim)),
-                            cfg.norm_eps)
-        cos, sin = rope_tables(n, cfg.head_dim, cfg.rope_base, x.dtype)
-        q = ag.rope_rotate(q, cos, sin)
-        k = ag.rope_rotate(k, cos, sin)
         out = ag.causal_attn(q, k, v, 1.0 / np.sqrt(cfg.head_dim))
         return ag.matmul(ag.merge_heads(out), bw.wo)
 

@@ -184,7 +184,7 @@ def checkpoint_layout(meta: dict) -> tuple:
     (depth,) for a fixed model, (p, r, c) for a recurrent one."""
     cfg = build(ModelConfig, _meta(meta, "config"), "config", FormatError)
     kind = _meta(meta, "kind")
-    if kind not in _SECTIONS:
+    if type(kind) is not str or kind not in _SECTIONS:
         raise FormatError(f"unknown checkpoint kind {kind!r}")
     counts = ([_meta(meta, "depth")] if kind == "fixed"
               else _meta(meta, "plan_tuple"))

@@ -4,6 +4,7 @@ import pytest
 from recurfit import autograd as ag
 from recurfit.autograd import Tape, Tensor
 from recurfit.errors import ContractError, InputError, ShapeError
+from recurfit.model import rope_tables
 from recurfit.random import RandomStream
 
 
@@ -227,36 +228,131 @@ def _reference_attn(q, k, v, att_scale, g_out):
 
 
 def _attn_inputs(groups, n, dtype, seed=0, kv_heads=2, d=4):
-    """q as (B, H, n, d) and k, v as (B, Hk, n, d) views shaped as the
-    decoder block makes them: q and k contiguous, v a head-split view."""
+    """q as (B, H, n, d) and k, v as (B, Hk, n, d), head-split views of
+    contiguous (B, n, heads, d) arrays as the decoder block makes them."""
     rng = np.random.default_rng(seed)
     b, h = 2, kv_heads * groups
-    q = rng.standard_normal((b, h, n, d)).astype(dtype)
-    k = rng.standard_normal((b, kv_heads, n, d)).astype(dtype)
-    v = (rng.standard_normal((b, n, kv_heads, d)).astype(dtype)
-         .transpose(0, 2, 1, 3))
+    q = rng.standard_normal((b, n, h, d)).astype(dtype).transpose(0, 2, 1, 3)
+    k, v = (rng.standard_normal((b, n, kv_heads, d)).astype(dtype)
+            .transpose(0, 2, 1, 3) for _ in range(2))
     return q, k, v
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("n", [1, 7, 16, 17, 64])
 @pytest.mark.parametrize("groups", [1, 2, 4])
 def test_causal_attn_matches_copy_and_mask_chain_bitwise(groups, n, dtype):
+    """Taped and untaped, and for float32 inputs promoted to float64 by an
+    np.float64 scale (as the decoder block passes it) as well as scaled
+    in place by a Python float."""
     q, k, v = _attn_inputs(groups, n, dtype)
-    att_scale = 1.0 / np.sqrt(np.float64(q.shape[-1]))
-    g_out = np.random.default_rng(1).standard_normal(
-        q.shape[:2] + (n, q.shape[-1])).astype(dtype)
-    # strided as merge_heads' backward hands it over
-    g_out = g_out.transpose(0, 2, 1, 3).copy().transpose(0, 2, 1, 3)
     tq, tk, tv = Tensor(q), Tensor(k), Tensor(v)
+    for att_scale in (1.0 / np.sqrt(np.float64(q.shape[-1])), 0.375):
+        out_dtype = np.result_type(q, att_scale)
+        g_out = np.random.default_rng(1).standard_normal(
+            q.shape[:2] + (n, q.shape[-1])).astype(out_dtype)
+        # strided as merge_heads' backward hands it over
+        g_out = g_out.transpose(0, 2, 1, 3).copy().transpose(0, 2, 1, 3)
+        with Tape():
+            out = ag.causal_attn(tq, tk, tv, att_scale)
+        untaped = [ag.causal_attn(tq, tk, tv, att_scale).data
+                   for _ in range(2)]
+        ref_out, ref_gq, ref_gk, ref_gv = _reference_attn(q, k, v, att_scale,
+                                                          g_out)
+        gq, gk, gv = out.backward_fn(g_out)
+        assert out.dtype == out_dtype
+        for got, ref in ((out.data, ref_out), (untaped[0], ref_out),
+                         (untaped[1], ref_out), (gq, ref_gq), (gk, ref_gk),
+                         (gv, ref_gv)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_causal_attn_untaped_call_after_a_nan_row_is_unaffected():
+    """Off the tape the attention array is reused; a NaN score row must
+    not leave NaN in the next call's masked entries."""
+    q, k, v = _attn_inputs(2, 17, np.float64)
+    clean = ag.causal_attn(Tensor(q), Tensor(k), Tensor(v), 0.5).data
+    poisoned = q.copy()
+    poisoned[0, 0, 3, 0] = np.nan
+    hit = ag.causal_attn(Tensor(poisoned), Tensor(k), Tensor(v), 0.5).data
+    assert np.isnan(hit[0, 0, 3]).all() and np.isfinite(hit[0, 0, 4]).all()
+    again = ag.causal_attn(Tensor(q), Tensor(k), Tensor(v), 0.5).data
+    assert again.tobytes() == clean.tobytes()
+
+
+def _reference_head_norm(x, gain, eps, g):
+    """Forward and backward of the norm over the last axis of (B, H, n, d)
+    heads with a broadcast (H, 1, d) gain, as the head split used it."""
+    inv = 1.0 / np.sqrt(np.mean(x ** 2, axis=-1, keepdims=True) + eps)
+    out = x * inv * gain
+    u = g * gain
+    gx = inv * u - x * inv ** 3 * np.mean(x * u, axis=-1, keepdims=True)
+    ggain = (g * x * inv).sum(axis=0).sum(axis=1, keepdims=True)
+    return out, gx, ggain
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_rms_norm_with_head_gain_matches_norm_of_split_heads_bitwise(dtype):
+    """An (H, d) gain normalises each head of a (B, n, H*d) projection as
+    the norm of its (B, H, n, d) head split did, bit for bit."""
+    b, n, heads, d = 2, 5, 3, 8
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((b, n, heads * d)).astype(dtype)
+    gain = (1.0 + 0.1 * rng.standard_normal((heads, d))).astype(dtype)
+    g = rng.standard_normal(x.shape).astype(dtype)
+
+    def heads_of(a):
+        return a.reshape(b, n, heads, d).transpose(0, 2, 1, 3)
+
     with Tape():
-        out = ag.causal_attn(tq, tk, tv, att_scale)
-    ref_out, ref_gq, ref_gk, ref_gv = _reference_attn(q, k, v, att_scale, g_out)
-    gq, gk, gv = out.backward_fn(g_out)
-    for got, ref in ((out.data, ref_out), (gq, ref_gq), (gk, ref_gk),
-                     (gv, ref_gv)):
-        assert got.dtype == ref.dtype and got.shape == ref.shape
-        assert got.tobytes() == ref.tobytes()
+        out = ag.rms_norm(Tensor(x), Tensor(gain), 1e-5)
+    gx, ggain = out.backward_fn(g)
+    refs = _reference_head_norm(heads_of(x), gain.reshape(heads, 1, d), 1e-5,
+                                heads_of(g))
+    for got, ref in ((heads_of(out.data), refs[0]), (heads_of(gx), refs[1]),
+                     (ggain, refs[2].reshape(heads, d))):
+        assert got.dtype == ref.dtype == dtype
+        assert np.ascontiguousarray(got).tobytes() == \
+            np.ascontiguousarray(ref).tobytes()
+
+
+def _reference_rope(x, cos, sin, g):
+    """Forward and backward of the concatenating RoPE formula on (B, H, n,
+    d) heads with (n, d/2) angle tables."""
+    half = x.shape[-1] // 2
+    x1, x2 = x[..., :half], x[..., half:]
+    out = np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+    g1, g2 = g[..., :half], g[..., half:]
+    grad = np.concatenate([g1 * cos + g2 * sin, -g1 * sin + g2 * cos],
+                          axis=-1)
+    return out, grad
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("heads,head_dim", [(1, 2), (2, 8), (4, 16)])
+def test_rope_matches_concatenating_formula_bitwise(dtype, heads, head_dim):
+    b, n = 2, 9
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((b, n, heads * head_dim)).astype(dtype)
+    g = rng.standard_normal(x.shape).astype(dtype)
+    cos, sin = rope_tables(n, head_dim, 10000.0, dtype)
+    with Tape():
+        out = ag.rope_rotate(Tensor(x), cos, sin)
+    (grad,) = out.backward_fn(g)
+
+    def heads_of(a):
+        return a.reshape(b, n, heads, head_dim).transpose(0, 2, 1, 3)
+
+    half = head_dim // 2
+    angles = np.outer(np.arange(n),
+                      10000.0 ** (-np.arange(half, dtype=np.float64) / half))
+    ref_out, ref_grad = _reference_rope(
+        heads_of(x), np.cos(angles).astype(dtype),
+        np.sin(angles).astype(dtype), heads_of(g))
+    for got, ref in ((out.data, ref_out), (grad, ref_grad)):
+        assert got.dtype == ref.dtype == dtype
+        assert heads_of(got).tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
 @pytest.mark.parametrize("groups", [1, 2])

@@ -17,7 +17,8 @@ from recurfit.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_FORMAT,
                           EXIT_OK, main)
 from recurfit.checkpoint import Checkpoint
 from recurfit.config import RunConfig, load_config
-from recurfit.errors import ConfigError, FormatError
+from recurfit.errors import ConfigError, ContractError, FormatError
+from recurfit.fields import fits
 from recurfit.flops import flops_fixed, flops_for_step
 import recurfit.model as model_module
 import recurfit.train as train_module
@@ -196,6 +197,16 @@ def test_config_types_accept_ints_for_floats_and_null_paths(tmp_path):
         model=dict(MODEL, rope_base=500, tie_embeddings=True)))
     assert (cfg.lr.peak, cfg.grad_clip, cfg.model.rope_base) == (1, 2, 500)
     assert cfg.optimizer_hyper == {"beta1": 0, "beta2": 0.5}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_float_fields_reject_non_finite_values(value):
+    assert fits(1.5, float) and fits(2, float)
+    assert not fits(value, float)
+    assert not fits({"beta1": value}, dict[str, float])
+    with pytest.raises(ContractError, match="not finite"):
+        WsdSpec(peak=value, warmup_steps=1, stable_steps=1, decay_steps=1)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +404,32 @@ def test_exit_code_config_error(tmp_path, donor_ckpt, capsys):
         path = write_config(tmp_path, **extra)
         assert main(["train", "--config", str(path)]) == EXIT_CONFIG, extra
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("override,needle", [
+    ("lr.peak=Infinity", "lr.peak"),
+    ("optimizer_hyper.beta1=NaN", "optimizer_hyper"),
+    ("grad_clip=-Infinity", "grad_clip"),
+])
+def test_non_finite_config_float_is_config_error(tmp_path, capsys, override,
+                                                 needle):
+    """JSON accepts NaN and Infinity; no float field does."""
+    code = main(["train", "--config", str(write_config(tmp_path)),
+                 "--set", override])
+    assert code == EXIT_CONFIG
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_checkpoint_config_holding_nan_is_format_error(tmp_path, donor_ckpt,
+                                                       capsys):
+    ckpt = Checkpoint.load(donor_ckpt)
+    ckpt.metadata["config"]["norm_eps"] = float("nan")
+    path = tmp_path / "nan-config.rfck"
+    ckpt.save(path)
+    assert main(["layer-scores", "--checkpoint", str(path), "--items", "2",
+                 "--context", "16"]) == EXIT_FORMAT
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_exit_code_divergence(tmp_path, capsys):

@@ -30,6 +30,9 @@ def test_config_invariants():
     with pytest.raises(ContractError):
         ModelConfig(vocab_size=10, hidden=16, n_query_heads=2, n_kv_heads=1,
                     head_dim=8, ffn_width=8, context_length=0)
+    with pytest.raises(ContractError, match="even"):
+        ModelConfig(vocab_size=10, hidden=6, n_query_heads=2, n_kv_heads=1,
+                    head_dim=3, ffn_width=8)
 
 
 @pytest.mark.parametrize("field", ["vocab_size", "hidden", "n_query_heads",
@@ -379,6 +382,21 @@ def test_fresh_recurrent_model_stable_at_depth_32():
     assert np.all(np.isfinite(logits.data))
     rms = float(np.sqrt(np.mean(logits.data ** 2)))
     assert 0.1 <= rms <= 10.0
+
+
+@pytest.mark.parametrize("variant,nodes", [
+    ({}, 19), ({"post_norm": True}, 19), ({"qk_norm": True}, 23)],
+    ids=["pre_norm", "post_norm", "qk_norm"])
+def test_block_tape_node_count(tiny_cfg, variant, nodes):
+    """One op per node: two norms, q/k/v/o and three MLP projections,
+    RoPE on q and k, three head splits, attention, the head merge, SwiGLU
+    and two residual adds; QK-norm adds a norm and a gain reshape for each
+    of q and k. Finite-difference sweeps pay per node."""
+    cfg = dataclasses.replace(tiny_cfg, **variant)
+    model = init_fixed(cfg, 1, RandomStream(0, "init"))
+    with Tape() as tape:
+        decoder_block(Tensor(np.ones((1, 3, cfg.hidden))), model.blocks[0], cfg)
+    assert len(tape.nodes) == nodes
 
 
 def test_qk_norm_and_post_norm_variant_runs():

@@ -10,7 +10,8 @@ from recurfit.model import (ModelConfig, RecurrenceRun, forward_fixed,
                             forward_recurrent, init_fixed, init_recurrent)
 from recurfit.random import RandomStream
 from recurfit.surgery import (apply_surgery, block_influence_scores,
-                              count_fixed_params, count_parameters, make_plan,
+                              checkpoint_layout, count_fixed_params,
+                              count_parameters, make_plan,
                               model_from_checkpoint, model_to_checkpoint,
                               pruned_donor)
 
@@ -448,6 +449,29 @@ def test_checkpoint_bad_metadata(toy_donor, kind, edit):
     model_from_checkpoint(ckpt)
     with pytest.raises(FormatError):
         model_from_checkpoint(Checkpoint(edit(ckpt.metadata), ckpt.tensors))
+
+
+@pytest.mark.parametrize("kind", [[], {}, 3, None],
+                         ids=["list", "dict", "int", "null"])
+def test_checkpoint_kind_of_wrong_type_is_format_error(toy_donor, kind):
+    """The kind is looked up in a table, so an unhashable one must be
+    caught as a format error before the lookup."""
+    meta = dict(toy_donor.metadata, kind=kind)
+    with pytest.raises(FormatError, match="unknown checkpoint kind"):
+        checkpoint_layout(meta)
+    with pytest.raises(FormatError):
+        model_from_checkpoint(Checkpoint(meta, toy_donor.tensors))
+
+
+@pytest.mark.parametrize("key", ["norm_eps", "rope_base", "sigma_s0"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+def test_checkpoint_config_with_non_finite_float_is_format_error(
+        toy_donor, key, value):
+    meta = dict(toy_donor.metadata,
+                config=dict(toy_donor.metadata["config"], **{key: value}))
+    with pytest.raises(FormatError, match="not finite"):
+        model_from_checkpoint(Checkpoint(meta, toy_donor.tensors))
 
 
 @pytest.mark.parametrize("dtype", ["<U8", np.complex128, np.int64,
