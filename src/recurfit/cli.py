@@ -41,8 +41,11 @@ EXIT_FORMAT = 5
 
 
 def _out_path(name: str) -> Path:
-    """`name` under RECURFIT_OUT_ROOT, with its parent directory made."""
+    """`name` under RECURFIT_OUT_ROOT, with its parent directory made; a
+    path that names an existing directory is a ConfigError."""
     path = Path(os.environ.get("RECURFIT_OUT_ROOT", ".")) / name
+    if path.is_dir():
+        raise ConfigError(f"output path {path} is a directory")
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -86,11 +89,12 @@ def cmd_eval(args) -> int:
     model = model_from_checkpoint(Checkpoint.load(args.checkpoint))
     recurrences = (_int_list(args.recurrences) if args.recurrences
                    else DEFAULT_RECURRENCES)
+    out = _out_path(args.out) if args.out else None
     result = eval_sweep(model, args.dataset, recurrences,
                         s0_seed=args.s0_seed, n_items=args.items,
                         data_seed=args.data_seed)
-    if args.out:
-        result.to_csv(_out_path(args.out))
+    if out:
+        result.to_csv(out)
     print(result.summary())
     return EXIT_OK
 
@@ -131,7 +135,11 @@ def cmd_schedule_dump(args) -> int:
 
 
 def cmd_layer_scores(args) -> int:
-    model = model_from_checkpoint(Checkpoint.load(args.checkpoint))
+    ckpt = Checkpoint.load(args.checkpoint)
+    model = model_from_checkpoint(ckpt)
+    if ckpt.metadata["kind"] != "fixed":
+        raise FormatError("layer-scores checkpoint must be a fixed-depth "
+                          "checkpoint")
     inputs, _ = eval_batch(args.data_seed, args.dataset, args.items,
                            min(model.config.context_length, args.context))
     scores = block_influence_scores(model, inputs)

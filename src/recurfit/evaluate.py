@@ -13,15 +13,35 @@ requested r and every requested r is read out on the way, so a sweep
 costs max(r) recurrent passes per micro-batch, not sum(r). The forwards
 run under `ag.no_record()` and never grow a caller's tape. A non-finite
 loss, such as weights that overflow the forward give, raises.
+
+With two or more micro-batches the work runs in two processes: a forked
+child computes the last floor(m/2) micro-batches while this process
+computes the first ceil(m/2), and sends back per-(micro-batch, r) sums
+through a pipe, which this process adds in micro-batch order, as a
+single process would. So the results, and the r named by a non-finite
+loss, do not depend on the split. The fork happens only where the
+platform has `os.fork`, at least two CPUs are usable
+(`os.sched_getaffinity`, else `os.cpu_count`) and `blas.one_thread` can
+pin numpy's OpenBLAS to one thread, which it does in both processes for
+the length of the call. Unpinned, OpenBLAS's fork handler would tear
+down its thread pool, and both processes would rebuild and spin pools
+of their own on the same two cores. The eval forward's results do not
+depend on the thread count, so no result byte moves. Tracing that wraps
+module functions (as `bench/tracer.py` does) sees only this process's
+half.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 from . import autograd as ag
+from . import blas
 from .data import answer_mask, eval_batch
 from .errors import NonFiniteError
 from .flops import param_split
@@ -63,33 +83,122 @@ class SweepResult:
         return "\n".join(lines)
 
 
+def _two_processes(n_batches: int) -> bool:
+    """Whether a forked worker should take half of `n_batches`
+    micro-batches: there are two, the platform forks, two cores are
+    usable and the OpenBLAS thread count can be pinned."""
+    if n_batches < 2 or not hasattr(os, "fork"):
+        return False
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return cores >= 2 and blas.threads() is not None
+
+
+def _child(batch_rows, batches, read_fd: int, write_fd: int) -> None:
+    """Body of the forked worker: pickle (rows of each micro-batch in
+    `batches` done, the exception that stopped it or None) to `write_fd`,
+    then leave through `os._exit`, so none of the parent's `finally`
+    blocks or exit handlers run here."""
+    code = 1
+    try:
+        os.close(read_fd)
+        done, error = [], None
+        try:
+            for b in batches:
+                done.append(batch_rows(b))
+        except Exception as exc:  # the parent raises it after `done`
+            error = exc
+        data = pickle.dumps((done, error))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _add_in_two_processes(batch_rows, add, n_batches: int) -> None:
+    """`add(batch_rows(b))` for each micro-batch b in order: this process
+    computes the first ceil(m/2), a forked child the rest, with OpenBLAS
+    on one thread in both. The child is always reaped; when this
+    process's half raises, the child is killed and that error wins."""
+    split = (n_batches + 1) // 2
+    with blas.one_thread():
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            _child(batch_rows, range(split, n_batches), read_fd, write_fd)
+        os.close(write_fd)
+        try:
+            with os.fdopen(read_fd, "rb") as pipe:
+                for b in range(split):
+                    add(batch_rows(b))
+                data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if not data:
+        raise RuntimeError(f"eval worker exited with code {status} "
+                           f"without a result")
+    done, error = pickle.loads(data)
+    for rows in done:
+        add(rows)
+    if error is not None:
+        raise error
+
+
 def _loss_and_accuracy(model, dataset_id: str, recurrences, s0_seed: int,
                        n_items: int, data_seed: int) -> dict:
     """r -> (loss, accuracy) on held-out items for each distinct r.
 
     Sums run over micro-batches in order, so each r's figures do not
-    depend on which other counts share the sweep.
+    depend on which other counts share the sweep, nor on which process
+    computed a micro-batch.
     """
     inputs, targets = eval_batch(data_seed, dataset_id, n_items,
                                  model.config.context_length)
     mask = answer_mask(dataset_id, targets)
+    n_batches = -(-inputs.shape[0] // MICRO_BATCH)
     sums: dict = {}  # r -> [nll, tokens, answer hits, answer positions]
+
+    def batch_rows(b: int) -> list:
+        """(r, nll sum, tokens, answer hits, answer positions) of
+        micro-batch b, one per distinct r, ascending."""
+        sl = slice(b * MICRO_BATCH, (b + 1) * MICRO_BATCH)
+        stream = RandomStream(s0_seed, f"eval_s0/{b}")
+        rows = []
+        for r, logits in recurrence_sweep(model, inputs[sl], recurrences,
+                                          stream):
+            nll, _ = ag.token_nll(logits.data, targets[sl])
+            pred = logits.data.argmax(axis=-1)
+            m = mask[sl]
+            rows.append((r, float(nll.sum()), nll.size,
+                         int(((pred == targets[sl]) & m).sum()),
+                         int(m.sum())))
+        return rows
+
+    def add(rows: list) -> None:
+        for r, nll, tokens, hits, answers in rows:
+            acc = sums.setdefault(r, [0.0, 0, 0, 0])
+            acc[0] += nll
+            if not math.isfinite(acc[0]):
+                raise NonFiniteError(f"loss at r={r} is not finite")
+            acc[1] += tokens
+            acc[2] += hits
+            acc[3] += answers
+
     with ag.no_record():
-        for b, lo in enumerate(range(0, inputs.shape[0], MICRO_BATCH)):
-            sl = slice(lo, lo + MICRO_BATCH)
-            stream = RandomStream(s0_seed, f"eval_s0/{b}")
-            for r, logits in recurrence_sweep(model, inputs[sl], recurrences,
-                                              stream):
-                nll, _ = ag.token_nll(logits.data, targets[sl])
-                pred = logits.data.argmax(axis=-1)
-                m = mask[sl]
-                acc = sums.setdefault(r, [0.0, 0, 0, 0])
-                acc[0] += float(nll.sum())
-                if not math.isfinite(acc[0]):
-                    raise NonFiniteError(f"loss at r={r} is not finite")
-                acc[1] += nll.size
-                acc[2] += int(((pred == targets[sl]) & m).sum())
-                acc[3] += int(m.sum())
+        if _two_processes(n_batches):
+            _add_in_two_processes(batch_rows, add, n_batches)
+        else:
+            for b in range(n_batches):
+                add(batch_rows(b))
     return {r: (nll / tokens, hits / max(answers, 1))
             for r, (nll, tokens, hits, answers) in sums.items()}
 

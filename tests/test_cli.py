@@ -383,6 +383,31 @@ def test_cli_layer_scores(tmp_path, donor_ckpt, capsys):
     assert len(lines) == 4 and lines[0].startswith("layer 0:")
 
 
+def test_cli_layer_scores_on_recurrent_checkpoint_is_format_error(
+        tmp_path, recurrent_ckpt, capsys):
+    """It used to exit 1 with a raw AttributeError (no `blocks`)."""
+    assert main(["layer-scores", "--checkpoint", str(recurrent_ckpt),
+                 "--items", "2", "--context", "16"]) == EXIT_FORMAT
+    assert "must be a fixed-depth checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "surgery"])
+def test_cli_out_naming_a_directory_is_config_error(tmp_path, donor_ckpt,
+                                                    monkeypatch, capsys,
+                                                    command):
+    """Both used to exit 1 with IsADirectoryError, surgery at the atomic
+    rename of its temporary file onto the directory."""
+    root = tmp_path / "root"
+    (root / "taken").mkdir(parents=True)
+    monkeypatch.setenv("RECURFIT_OUT_ROOT", str(root))
+    source = ["--checkpoint", str(donor_ckpt), "--recurrences", "1",
+              "--items", "1"] if command == "eval" else [
+        "--donor", str(donor_ckpt), "--plan-tuple", "1,2,1"]
+    assert main([command] + source + ["--out", "taken"]) == EXIT_CONFIG
+    assert "is a directory" in capsys.readouterr().err
+    assert list(root.rglob("*")) == [root / "taken"]
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -199,6 +200,42 @@ def test_kill_after_checkpoint_resumes_to_uninterrupted_run(tmp_path):
                              str(tmp_path / "config.json")], env=env)
     assert killed.returncode == 9 and not (out / "final.rfck").exists()
     train(cfg, resume_from=str(out / "ckpt_step6.rfck"))
+    assert (out / "metrics.csv").read_bytes() == \
+        Path(full["metrics"]).read_bytes()
+    assert (out / "final.rfck").read_bytes() == \
+        Path(full["final_checkpoint"]).read_bytes()
+
+
+# Sends itself SIGKILL partway through step 5, between the backward and
+# the optimizer update; the last checkpoint before it is ckpt_step3.
+SIGKILLED_RUN = """
+import os, signal, sys
+import recurfit.train as train_mod
+from recurfit.config import load_config
+clip = train_mod.clip_global_norm
+calls = []
+def clip_then_die(grads, max_norm):
+    calls.append(1)
+    if len(calls) == 6:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return clip(grads, max_norm)
+train_mod.clip_global_norm = clip_then_die
+train_mod.train(load_config(sys.argv[1]))
+"""
+
+
+def test_sigkill_mid_step_resumes_to_uninterrupted_run(tmp_path):
+    full = train(tiny_run(tmp_path / "full", 12, checkpoint_interval=3))
+    out = tmp_path / "run"
+    cfg = tiny_run(out, 12, checkpoint_interval=3)
+    (tmp_path / "config.json").write_text(resolved_config_json(cfg))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    killed = subprocess.run([sys.executable, "-c", SIGKILLED_RUN,
+                             str(tmp_path / "config.json")], env=env)
+    assert killed.returncode == -signal.SIGKILL
+    assert sorted(p.name for p in out.glob("*.rfck")) == ["ckpt_step3.rfck"]
+    train(cfg, resume_from=str(out / "ckpt_step3.rfck"))
     assert (out / "metrics.csv").read_bytes() == \
         Path(full["metrics"]).read_bytes()
     assert (out / "final.rfck").read_bytes() == \

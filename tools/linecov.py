@@ -8,17 +8,22 @@ merge them into a JSON file of hits:
     python3 tools/linecov.py -- bench/run.py --workload deep --seconds 5 --trace 1
 
 `--report` prints, per file, the executable lines (from every code
-object's `co_lines()`) that no recorded run executed. Code run in a
-child process is not traced. Tracing slows Python-bound code about
-twofold, so wall-clock bounds in the traced command may fail.
+object's `co_lines()`) that no recorded run executed. A child forked by
+the traced command keeps tracing; when it leaves through `os._exit`, as
+`recurfit.evaluate`'s worker does, it first writes its hits to a per-pid
+side file, which this process merges after the command. Code run in a
+new interpreter (`subprocess`) is not traced. Tracing slows Python-bound
+code about twofold, so wall-clock bounds in the traced command may fail.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import runpy
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -55,6 +60,18 @@ def trace_command(command: list) -> tuple:
         sys.argv = list(command)
         run = lambda: runpy.run_path(command[0], run_name="__main__")
     code = 0
+    tracer_pid, real_exit = os.getpid(), os._exit
+    side_dir = Path(tempfile.mkdtemp(prefix="linecov-"))
+
+    def exit_with_hits(status):
+        """`os._exit` that, in a forked child, first saves the child's hits."""
+        if os.getpid() != tracer_pid:
+            sys.settrace(None)
+            (side_dir / f"{os.getpid()}.json").write_text(json.dumps(
+                {name: sorted(lines) for name, lines in hits.items()}))
+        real_exit(status)
+
+    os._exit = exit_with_hits
     threading.settrace(on_call)
     sys.settrace(on_call)
     try:
@@ -64,6 +81,12 @@ def trace_command(command: list) -> tuple:
     finally:
         sys.settrace(None)
         threading.settrace(None)
+        os._exit = real_exit
+        for side in sorted(side_dir.glob("*.json")):
+            for name, lines in json.loads(side.read_text()).items():
+                hits.setdefault(name, set()).update(lines)
+            side.unlink()
+        side_dir.rmdir()
     return code, hits
 
 
