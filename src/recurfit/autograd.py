@@ -1,18 +1,23 @@
 """Dense-tensor numerics with a reverse-mode tape.
 
-numpy holds the values; each op records its parents and a backward
-closure on the active :class:`Tape`. Ops take :class:`Tensor` operands
-only; a constant is a Tensor leaf. There is deliberately no autograd
-graph without a tape: calling ops outside a ``with Tape()`` block, or
-inside a ``with no_record()`` block, is plain (and faster) numpy. Fused
-ops (rms_norm, causal_attn, cross_entropy_mean, ...) keep the op count
-per transformer block small enough that finite-difference sweeps over
-every parameter stay cheap.
+numpy holds the values; each op appends a :class:`Node` to the active
+:class:`Tape`: the gradient keys of its parents and a backward closure.
+Ops take :class:`Tensor` operands only; a constant is a Tensor leaf.
+There is deliberately no autograd graph without a tape: calling ops
+outside a ``with Tape()`` block, or inside a ``with no_record()`` block,
+is plain (and faster) numpy. Fused ops (rms_norm, causal_attn,
+cross_entropy_mean, ...) keep the op count per transformer block small
+enough that finite-difference sweeps over every parameter stay cheap.
 
-`backward` consumes its tape: it unlinks each node once that node's
-backward has run, so activations, the arrays its closure saved and its
-gradient are freed as the walk goes, and it returns the gradients of
-leaves only (parameters, inputs, constants).
+The tape holds the graph, not the values. A record refers to its
+output only weakly, and each backward closure captures exactly the
+arrays and shapes it reads, never a Tensor; so an op output that no
+backward reads (a projection that only feeds RoPE, a product that only
+feeds a residual add, the logits) is freed as soon as the model code
+drops it. `backward` consumes its tape: it unlinks each record once its
+backward has run, so the arrays its closure saved and its gradient are
+freed as the walk goes, and it returns the gradients of leaves only
+(parameters, inputs, constants).
 
 The fused ops keep the bits of their textbook formulas while making
 fewer passes: the attention softmax runs in place on whole (n, n)
@@ -27,6 +32,7 @@ load, and losses, gradient norms and layer scores where they are read.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -37,14 +43,21 @@ _ACTIVE_TAPE: "Tape | None" = None
 
 
 class Tensor:
-    """Immutable dense array, optionally recorded on the active tape."""
+    """Immutable dense array; `node` is its tape record, None off the tape."""
 
-    __slots__ = ("data", "parents", "backward_fn")
+    __slots__ = ("data", "node")
 
     def __init__(self, data):
         self.data = np.asarray(data)
-        self.parents: tuple = ()
-        self.backward_fn = None
+        self.node: Node | None = None
+
+    @property
+    def backward_fn(self):
+        return None if self.node is None else self.node.backward_fn
+
+    @backward_fn.setter
+    def backward_fn(self, fn):
+        self.node.backward_fn = fn
 
     @property
     def shape(self):
@@ -61,13 +74,36 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
 
+_FREED = np.empty(0)
+
+
+class Node:
+    """Tape record of one op: the gradient keys of its parents (a parent's
+    record, or the parent itself if it is a leaf), its backward closure
+    and a weak reference to its output array. `data` is that array while
+    its Tensor or a backward closure holds it, and an empty array once it
+    is freed."""
+
+    __slots__ = ("parents", "backward_fn", "output")
+
+    def __init__(self, parents: tuple, backward_fn, output: weakref.ref):
+        self.parents = parents
+        self.backward_fn = backward_fn
+        self.output = output
+
+    @property
+    def data(self) -> np.ndarray:
+        out = self.output()
+        return _FREED if out is None else out
+
+
 class Tape:
-    """Ordered record of op results; creation order is topological.
+    """Ordered list of op records; creation order is topological.
 
     `backward` empties `nodes` and marks the tape consumed."""
 
     def __init__(self):
-        self.nodes: list[Tensor] = []
+        self.nodes: list[Node] = []
         self.consumed = False
 
     def __enter__(self):
@@ -102,16 +138,21 @@ def no_record():
         _ACTIVE_TAPE = suspended
 
 
+def _grad_key(t: Tensor):
+    """What `backward` keys t's gradient by: its record, or t if a leaf."""
+    return t if t.node is None else t.node
+
+
 def _make(data: np.ndarray, parents, backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
-    out.data = data
+    out.node = None
     if _ACTIVE_TAPE is not None:
-        out.parents = tuple(parents)
-        out.backward_fn = backward_fn
-        _ACTIVE_TAPE.nodes.append(out)
-    else:
-        out.parents = ()
-        out.backward_fn = None
+        # a numpy scalar (an op on 0-d arrays) takes no weak reference
+        data = np.asarray(data)
+        out.node = Node(tuple(map(_grad_key, parents)), backward_fn,
+                        weakref.ref(data))
+        _ACTIVE_TAPE.nodes.append(out.node)
+    out.data = data
     return out
 
 
@@ -143,8 +184,8 @@ def _scratch(slot: str, shape: tuple, dtype, zeroed: bool = False):
 def backward(loss: Tensor, tape: Tape) -> dict:
     """Reverse accumulation from a scalar loss, consuming the tape.
 
-    Walks the tape from its last node, popping each node and its
-    gradient; after a node's backward has run, its parents and closure
+    Walks the tape from its last record, popping each record and its
+    gradient; after a record's backward has run, its parents and closure
     are dropped, so what only it held is freed. Returns a map from leaf
     tensor (parameter, input or constant, i.e. not on the tape) to its
     gradient; a leaf appears once some recorded op touches it. A second
@@ -156,15 +197,15 @@ def backward(loss: Tensor, tape: Tape) -> dict:
         raise ContractError("tape already consumed by backward")
     tape.consumed = True
     nodes = tape.nodes
-    grads: dict = {loss: np.ones_like(loss.data)}
+    grads: dict = {_grad_key(loss): np.ones_like(loss.data)}
     while nodes:
         node = nodes.pop()
         grad = grads.pop(node, None)
         if grad is not None:
             parent_grads = node.backward_fn(grad)
-            for parent, pg in zip(node.parents, parent_grads):
-                acc = grads.get(parent)
-                grads[parent] = pg if acc is None else acc + pg
+            for key, pg in zip(node.parents, parent_grads):
+                acc = grads.get(key)
+                grads[key] = pg if acc is None else acc + pg
         node.parents = ()
         node.backward_fn = None
     return grads
@@ -183,22 +224,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
-    return _make(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape),
-                                          _unbroadcast(g, b.data.shape)))
+    sa, sb = a.data.shape, b.data.shape
+    return _make(a.data + b.data, (a, b),
+                 lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-    return _make(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape),
-                                          _unbroadcast(-g, b.data.shape)))
+    sa, sb = a.data.shape, b.data.shape
+    return _make(a.data - b.data, (a, b),
+                 lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
-    return _make(data, (a, b),
-                 lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                            _unbroadcast(g * a.data, b.data.shape)))
+    ad, bd = a.data, b.data
+    return _make(ad * bd, (a, b), lambda g: (_unbroadcast(g * bd, ad.shape),
+                                             _unbroadcast(g * ad, bd.shape)))
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
@@ -208,14 +248,14 @@ def scale(a: Tensor, factor: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
         raise ShapeError(f"matmul inner extents differ: {a.data.shape} @ {b.data.shape}")
-    data = a.data @ b.data
+    ad, bd = a.data, b.data
 
     def bwd(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
+        gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
         return ga, gb
 
-    return _make(data, (a, b), bwd)
+    return _make(ad @ bd, (a, b), bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -249,14 +289,14 @@ def tmean(a: Tensor) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
-    data = table.data[ids]
+    weights = table.data
 
     def bwd(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros_like(weights)
         np.add.at(gt, ids, g)
         return (gt,)
 
-    return _make(data, (table,), bwd)
+    return _make(weights[ids], (table,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -268,24 +308,25 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
 
     A (h,) gain normalises whole rows; an (H, d) gain normalises each of
     the H heads of a (..., H*d) projection in place of a head split."""
-    xs = x.data.reshape(x.data.shape[:-1] + gain.data.shape)
+    shape, gd = x.data.shape, gain.data
+    xs = x.data.reshape(shape[:-1] + gd.shape)
     width = xs.shape[-1]
     squares = np.square(xs, out=_scratch("rms_norm", xs.shape, xs.dtype))
     inv = 1.0 / np.sqrt(squares.sum(axis=-1, keepdims=True) / width + eps)
     data = xs * inv
-    if np.result_type(data, gain.data) == data.dtype:
-        data *= gain.data
+    if np.result_type(data, gd) == data.dtype:
+        data *= gd
     else:
-        data = data * gain.data
-    data = data.reshape(x.data.shape)
+        data = data * gd
+    data = data.reshape(shape)
 
     def bwd(g):
         g = g.reshape(xs.shape)
-        u = g * gain.data
+        u = g * gd
         gx = inv * u - xs * inv ** 3 * np.mean(xs * u, axis=-1,
                                                keepdims=True)
-        ggain = _unbroadcast(g * xs * inv, gain.data.shape)
-        return gx.reshape(x.data.shape), ggain
+        ggain = _unbroadcast(g * xs * inv, gd.shape)
+        return gx.reshape(shape), ggain
 
     return _make(data, (x, gain), bwd)
 
@@ -297,17 +338,18 @@ def silu_glu(gate: Tensor, up: Tensor) -> Tensor:
     off the tape that array is scratch and also takes silu(gate). The
     tape keeps sigmoid(gate) only; backward recomputes silu(gate)."""
     taped = _ACTIVE_TAPE is not None
-    sig = np.negative(gate.data, out=None if taped else _scratch(
-        "silu", gate.data.shape, gate.data.dtype))
+    gd, ud = gate.data, up.data
+    sig = np.negative(gd, out=None if taped else _scratch(
+        "silu", gd.shape, gd.dtype))
     np.exp(sig, out=sig)
     sig += 1.0
     np.reciprocal(sig, out=sig)
-    data = np.multiply(gate.data, sig, out=None if taped else sig)
-    data = data * up.data
+    data = np.multiply(gd, sig, out=None if taped else sig)
+    data = data * ud
 
     def bwd(g):
-        dsig = sig * (1.0 + gate.data * (1.0 - sig))
-        return g * up.data * dsig, g * (gate.data * sig)
+        dsig = sig * (1.0 + gd * (1.0 - sig))
+        return g * ud * dsig, g * (gd * sig)
 
     return _make(data, (gate, up), bwd)
 
@@ -321,7 +363,7 @@ def split_heads(x: Tensor, n_heads: int, head_dim: int) -> Tensor:
 
 
 def merge_heads(x: Tensor) -> Tensor:
-    """(B, H, n, d) -> (B, n, H*d)."""
+    """(B, H, n, d) -> (B, n, H*d); no copy for `causal_attn`'s output."""
     b, h, n, d = x.data.shape
     data = x.data.transpose(0, 2, 1, 3).reshape(b, n, h * d)
     return _make(data, (x,),
@@ -351,7 +393,8 @@ def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     Both equal the textbook [x1 cos - x2 sin, x1 sin + x2 cos] and its
     transpose bit for bit: a - b is a + (-b) in IEEE arithmetic, and
     addition commutes."""
-    b, n = x.data.shape[:2]
+    shape = x.data.shape
+    b, n = shape[:2]
     width = cos.shape[-1]
     pairs = (b, n, -1, 2, width // 2)
     cos, sin = (t.reshape(n, 1, 2, width // 2) for t in (cos, sin))
@@ -359,7 +402,7 @@ def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     def rotate(a, swapped_term):
         out = a * cos
         out += swapped_term
-        return out.reshape(x.data.shape)
+        return out.reshape(shape)
 
     xs = x.data.reshape(pairs)
     term = _scratch("rope", xs.shape, np.result_type(xs, sin))
@@ -403,7 +446,9 @@ def causal_attn(q: Tensor, k: Tensor, v: Tensor, att_scale: float) -> Tensor:
     whose future entries are already zero: a fresh zeroed array on the
     tape, where backward keeps it, and otherwise one kept zeroed from call
     to call. Both products stay whole (n, n) products, so they round as
-    before on any BLAS.
+    before on any BLAS. attn·v is written through a strided view into a
+    (B, n, H*d) array, so the output is a head split of that array and
+    `merge_heads` of it is a reshape without a copy.
     """
     b, h, n, d = q.data.shape
     hk = k.data.shape[1]
@@ -432,7 +477,10 @@ def causal_attn(q: Tensor, k: Tensor, v: Tensor, att_scale: float) -> Tensor:
     np.exp(scores, out=attn, where=kept)
     sums = attn.sum(axis=-1, keepdims=True)
     attn /= sums
-    data = (attn @ v5).reshape(b, h, n, d)
+    merged = np.empty((b, n, h * d), np.result_type(attn, v5))
+    np.matmul(attn, v5, out=merged.reshape(b, n, hk, groups, d)
+              .transpose(0, 2, 3, 1, 4))
+    data = merged.reshape(b, n, h, d).transpose(0, 2, 1, 3)
     if not taped and not np.isfinite(sums).all():
         np.copyto(attn, 0.0, where=future)  # 0 / nan left nan there
 

@@ -101,6 +101,7 @@ def _micro_loss_and_grads(model, inputs, targets, run):
         logits = (forward_fixed(model, inputs) if isinstance(model, FixedModel)
                   else forward_recurrent(model, inputs, run))
         loss = ag.cross_entropy_mean(logits, targets)
+        del logits  # no backward reads the logits; free them before it runs
         grad_map = ag.backward(loss, tape)
     return loss.item(), grad_map
 

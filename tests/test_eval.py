@@ -365,6 +365,34 @@ def test_serial_where_the_gate_is_closed(monkeypatch, forks, case):
     assert forks == []
 
 
+@pytest.mark.skipif(blas.threads() is None,
+                    reason="needs numpy's OpenBLAS thread setter")
+def test_library_without_thread_symbols_leaves_blas_alone(monkeypatch, forks,
+                                                          two_blas_threads):
+    """Where the bundled OpenBLAS lacks both thread functions, the count
+    reads as None, pinning changes nothing and the sweep runs serially."""
+    _, get_threads = blas._thread_functions()
+    model = fresh_recurrent()
+    expected = eval_sweep(model, "plain", recurrences=(1, 2), n_items=16).rows
+
+    class NoThreadSymbols:
+        def __init__(self, path):
+            self.path = path
+
+    monkeypatch.setattr(blas.ctypes, "CDLL", NoThreadSymbols)
+    blas._thread_functions.cache_clear()
+    try:
+        assert blas._thread_functions() is None and blas.threads() is None
+        with blas.one_thread():
+            assert get_threads() == two_blas_threads
+        forks.clear()
+        assert eval_sweep(model, "plain", recurrences=(1, 2),
+                          n_items=16).rows == expected
+        assert forks == []
+    finally:
+        blas._thread_functions.cache_clear()
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_eval_csv_bytes_do_not_depend_on_blas_threads(tmp_path, dtype):
     """`recurfit eval --out` in fresh processes, with OpenBLAS on one

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -430,6 +431,70 @@ def test_backward_peak_stays_near_forward_memory(tiny_recurrent):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * held, (peak, held)
+
+
+def test_block_frees_the_outputs_that_no_backward_reads(tiny_fixed,
+                                                        monkeypatch):
+    """The tape records the graph, not the values. The q projection (read
+    only by RoPE's forward) and the wo and w_down products (read only by
+    residual adds) are freed once `decoder_block` returns; each product's
+    input, which its backward reads, stays."""
+    bw, cfg = tiny_fixed.blocks[0], tiny_fixed.config
+    refs, matmul = {}, ag.matmul
+
+    def watched(a, b):
+        out = matmul(a, b)
+        refs[id(b)] = (weakref.ref(out.data), weakref.ref(a.data))
+        return out
+
+    monkeypatch.setattr(ag, "matmul", watched)
+    x = Tensor(np.random.default_rng(0).standard_normal((2, 5, cfg.hidden)))
+    with Tape() as tape:
+        y = decoder_block(x, bw, cfg)
+        for weight in (bw.wq, bw.wo, bw.w_down):
+            product, product_input = refs[id(weight)]
+            assert product() is None and product_input() is not None
+        freed = [node for node in tape.nodes
+                 if node.parents[-1] in (bw.wq, bw.wo, bw.w_down)]
+        assert len(freed) == 3 and all(node.data.size == 0 for node in freed)
+        assert tape.nodes[-1].data is y.data
+        grads = ag.backward(ag.tsum(y), tape)
+    assert set(grads) == {x, *bw.named("b").values()}
+
+
+def test_taped_forward_holds_less_than_its_op_outputs(tiny_recurrent,
+                                                      monkeypatch):
+    """After the taped forward at r=12, w=8, the memory left allocated is
+    below the summed `nbytes` of the recorded op outputs. A tape that kept
+    every output would exceed that sum by what backward closures save."""
+    tokens = RandomStream(1, "tok").integers(0, 11, (8, 16))
+
+    def forward():
+        return forward_recurrent(tiny_recurrent, tokens,
+                                 RecurrenceRun(12, 8, RandomStream(9, "s0")))
+
+    output_bytes, make = [], ag._make
+
+    def counted(data, parents, backward_fn):
+        out = make(data, parents, backward_fn)
+        if ag.active_tape() is not None:
+            output_bytes.append(data.nbytes)
+        return out
+
+    monkeypatch.setattr(ag, "_make", counted)
+    with Tape():  # also allocates the scratch arrays and RoPE tables
+        forward()
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with Tape():
+            logits = forward()
+            held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert logits.shape == (8, 16, 11)
+    assert held < sum(output_bytes), (held, sum(output_bytes))
 
 
 @pytest.mark.xfail(strict=True, reason="the np.float64 attention scale "
