@@ -22,9 +22,9 @@ freed as the walk goes, and it returns the gradients of leaves only
 The fused ops keep the bits of their textbook formulas while making
 fewer passes: the attention softmax runs in place on whole (n, n)
 products (row blocks of a product can round differently on OpenBLAS),
-RoPE adds a half-swapped view instead of concatenating halves, and work
-arrays that die inside an op come from `_scratch`, so that a call does
-not pay page faults for fresh arrays.
+and RoPE adds a half-swapped view instead of concatenating halves. Each
+op allocates the arrays it makes, the same way on and off the tape; the
+cached causal masks are the only state an op keeps between calls.
 
 Ops do not check results for NaN/Inf; checkpoint tensors are checked at
 load, and losses, gradient norms and layer scores where they are read.
@@ -32,6 +32,7 @@ load, and losses, gradient norms and layer scores where they are read.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from contextlib import contextmanager
 
@@ -154,31 +155,6 @@ def _make(data: np.ndarray, parents, backward_fn) -> Tensor:
         _ACTIVE_TAPE.nodes.append(out.node)
     out.data = data
     return out
-
-
-_SCRATCH: dict = {}
-_SCRATCH_LIMIT = 32
-
-
-def _scratch(slot: str, shape: tuple, dtype, zeroed: bool = False):
-    """A work array that an op reuses from call to call.
-
-    It holds values that die inside the op call (or inside one backward
-    call), so the next call with the same slot, shape and dtype may
-    overwrite it; nothing returned or kept for backward may live in it.
-    A `zeroed` array starts as zeros, and its user keeps whatever part it
-    relies on zero. A fresh array of a few hundred KB is mapped and
-    faulted in page by page on each call, which costs more than the
-    arithmetic done in it. At most `_SCRATCH_LIMIT` arrays are kept;
-    past that all are dropped. The arrays are shared by every caller in
-    the process, so ops must not run in two threads at once."""
-    key = (slot, shape, np.dtype(dtype))
-    buf = _SCRATCH.get(key)
-    if buf is None:
-        if len(_SCRATCH) >= _SCRATCH_LIMIT:
-            _SCRATCH.clear()
-        buf = _SCRATCH[key] = (np.zeros if zeroed else np.empty)(shape, dtype)
-    return buf
 
 
 def backward(loss: Tensor, tape: Tape) -> dict:
@@ -311,8 +287,8 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
     shape, gd = x.data.shape, gain.data
     xs = x.data.reshape(shape[:-1] + gd.shape)
     width = xs.shape[-1]
-    squares = np.square(xs, out=_scratch("rms_norm", xs.shape, xs.dtype))
-    inv = 1.0 / np.sqrt(squares.sum(axis=-1, keepdims=True) / width + eps)
+    inv = 1.0 / np.sqrt(np.square(xs).sum(axis=-1, keepdims=True) / width
+                        + eps)
     data = xs * inv
     if np.result_type(data, gd) == data.dtype:
         data *= gd
@@ -334,17 +310,14 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
 def silu_glu(gate: Tensor, up: Tensor) -> Tensor:
     """SwiGLU activation: silu(gate) * up.
 
-    sigmoid(gate) is built in one array (negate, exp, +1, reciprocal);
-    off the tape that array is scratch and also takes silu(gate). The
-    tape keeps sigmoid(gate) only; backward recomputes silu(gate)."""
-    taped = _ACTIVE_TAPE is not None
+    sigmoid(gate) is built in one array (negate, exp, +1, reciprocal).
+    Backward reads sigmoid(gate) only and recomputes silu(gate)."""
     gd, ud = gate.data, up.data
-    sig = np.negative(gd, out=None if taped else _scratch(
-        "silu", gd.shape, gd.dtype))
+    sig = np.negative(gd)
     np.exp(sig, out=sig)
     sig += 1.0
     np.reciprocal(sig, out=sig)
-    data = np.multiply(gd, sig, out=None if taped else sig)
+    data = gd * sig
     data = data * ud
 
     def bwd(g):
@@ -405,28 +378,21 @@ def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
         return out.reshape(shape)
 
     xs = x.data.reshape(pairs)
-    term = _scratch("rope", xs.shape, np.result_type(xs, sin))
-    data = rotate(xs, np.multiply(xs[..., ::-1, :], sin, out=term))
+    data = rotate(xs, xs[..., ::-1, :] * sin)
 
     def bwd(g):
         gs = g.reshape(pairs)
-        term = _scratch("rope", gs.shape, np.result_type(gs, sin))
-        return (rotate(gs, np.multiply(gs, sin, out=term)[..., ::-1, :]),)
+        return (rotate(gs, (gs * sin)[..., ::-1, :]),)
 
     return _make(data, (x,), bwd)
 
 
-_CAUSAL_MASKS: dict = {}
-
-
+@functools.cache
 def _causal_masks(n: int) -> tuple:
     """(future, kept) boolean (n, n) masks: strictly above the diagonal,
     and its complement."""
-    hit = _CAUSAL_MASKS.get(n)
-    if hit is None:
-        future = np.triu(np.ones((n, n), dtype=bool), k=1)
-        hit = _CAUSAL_MASKS[n] = (future, ~future)
-    return hit
+    future = np.triu(np.ones((n, n), dtype=bool), k=1)
+    return future, ~future
 
 
 def causal_attn(q: Tensor, k: Tensor, v: Tensor, att_scale: float) -> Tensor:
@@ -437,18 +403,17 @@ def causal_attn(q: Tensor, k: Tensor, v: Tensor, att_scale: float) -> Tensor:
     broadcast over their query group, never copied; backward sums each
     group's kv gradient over the group axis.
 
-    The softmax runs in place. The scores land in scratch and are scaled
-    there, unless the scale promotes them (a float32 q with an np.float64
-    scale), in which case the scaled copy is the scratch. The row maximum
-    is `fmax`'s, the faster reduction: it differs from `max` only by
-    skipping NaN, and a row holding a NaN score is NaN either way, through
-    its sum. exp writes the kept entries only, into an attention array
-    whose future entries are already zero: a fresh zeroed array on the
-    tape, where backward keeps it, and otherwise one kept zeroed from call
-    to call. Both products stay whole (n, n) products, so they round as
-    before on any BLAS. attn·v is written through a strided view into a
-    (B, n, H*d) array, so the output is a head split of that array and
-    `merge_heads` of it is a reshape without a copy.
+    The softmax runs in place. The scores are scaled where they land,
+    unless the scale promotes them (a float32 q with an np.float64
+    scale), in which case the scaled copy takes their place. The row
+    maximum is `fmax`'s, the faster reduction: it differs from `max` only
+    by skipping NaN, and a row holding a NaN score is NaN either way,
+    through its sum. exp writes the kept entries only, into a fresh
+    zeroed attention array, which backward keeps. Both products stay
+    whole (n, n) products, so they round as before on any BLAS. attn·v is
+    written through a strided view into a (B, n, H*d) array, so the
+    output is a head split of that array and `merge_heads` of it is a
+    reshape without a copy.
     """
     b, h, n, d = q.data.shape
     hk = k.data.shape[1]
@@ -461,19 +426,15 @@ def causal_attn(q: Tensor, k: Tensor, v: Tensor, att_scale: float) -> Tensor:
     kt = np.swapaxes(k5, -1, -2)
     shape = (b, hk, groups, n, n)
     future, kept = _causal_masks(n)
-    scores = np.matmul(q5, kt, out=_scratch("scores", shape,
-                                            np.result_type(q5, kt)))
+    scores = q5 @ kt
     dtype = np.result_type(scores, att_scale)
     if scores.dtype == dtype:
         scores *= att_scale
     else:
-        scores = np.multiply(scores, att_scale,
-                             out=_scratch("scaled", shape, dtype))
+        scores = scores * att_scale
     np.copyto(scores, -np.inf, where=future)
     scores -= np.fmax.reduce(scores, axis=-1, keepdims=True)
-    taped = _ACTIVE_TAPE is not None
-    attn = (np.zeros(shape, dtype) if taped
-            else _scratch("attn", shape, dtype, zeroed=True))
+    attn = np.zeros(shape, dtype)
     np.exp(scores, out=attn, where=kept)
     sums = attn.sum(axis=-1, keepdims=True)
     attn /= sums
@@ -481,8 +442,6 @@ def causal_attn(q: Tensor, k: Tensor, v: Tensor, att_scale: float) -> Tensor:
     np.matmul(attn, v5, out=merged.reshape(b, n, hk, groups, d)
               .transpose(0, 2, 3, 1, 4))
     data = merged.reshape(b, n, h, d).transpose(0, 2, 1, 3)
-    if not taped and not np.isfinite(sums).all():
-        np.copyto(attn, 0.0, where=future)  # 0 / nan left nan there
 
     def bwd(g):
         g5 = g.reshape(b, hk, groups, n, d)
@@ -490,8 +449,7 @@ def causal_attn(q: Tensor, k: Tensor, v: Tensor, att_scale: float) -> Tensor:
         d_scores = g5 @ np.swapaxes(v5, -1, -2)
         d_scores = d_scores.astype(np.result_type(d_scores, attn),
                                    copy=False)
-        d_scores -= np.multiply(d_scores, attn, out=_scratch(
-            "d_attn_attn", shape, d_scores.dtype)).sum(axis=-1, keepdims=True)
+        d_scores -= (d_scores * attn).sum(axis=-1, keepdims=True)
         d_scores *= attn
         d_scores *= att_scale
         gq = (d_scores @ k5).reshape(b, h, n, d)

@@ -57,8 +57,12 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
-        with open(path, "rb") as f:
-            blob = f.read()
+        try:
+            with open(path, "rb") as f:
+                blob = f.read()
+        except OSError as exc:  # missing, a directory, unreadable
+            raise FormatError(f"{path}: cannot read checkpoint: "
+                              f"{exc.strerror or exc}") from exc
         if blob[:4] != MAGIC:
             raise FormatError(f"{path}: bad magic {blob[:4]!r}")
         if len(blob) < PREAMBLE_BYTES:

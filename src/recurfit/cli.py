@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -57,6 +58,16 @@ def _int_list(text: str) -> list:
         raise ConfigError(f"expected integers, got {text!r}") from None
 
 
+def _check_bounds(args, **least) -> None:
+    """ConfigError naming the first given number flag that is not finite
+    or is below its least value; an unset flag passes."""
+    for name, low in least.items():
+        value = getattr(args, name)
+        if value is not None and not (math.isfinite(value) and value >= low):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite "
+                              f"and >= {low}, got {value!r}")
+
+
 def _parse_tuple(text: str) -> tuple:
     parts = _int_list(text)
     if len(parts) != 3:
@@ -65,6 +76,7 @@ def _parse_tuple(text: str) -> tuple:
 
 
 def cmd_surgery(args) -> int:
+    _check_bounds(args, noise_std=0)
     donor = Checkpoint.load(args.donor)
     plan = make_plan(_parse_tuple(args.plan_tuple), donor_layout(donor)[1])
     result = apply_surgery(donor, plan, args.adapter_init,
@@ -100,6 +112,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_flops(args) -> int:
+    _check_bounds(args, mean_r=1, window=1, tokens=0)
     cfg = load_config(args.config, args.set or [])
     model_cfg, counts = initial_layout(cfg)
     n1, n2 = param_split(model_cfg, counts, args.mean_r, args.window)
@@ -118,6 +131,7 @@ def cmd_flops(args) -> int:
 
 
 def cmd_schedule_dump(args) -> int:
+    _check_bounds(args, steps=0)
     cfg = load_config(args.config, args.set or [])
     steps = args.steps if args.steps is not None else cfg.total_steps
     rows = [(step, curriculum_mean(cfg.curriculum, step),
@@ -217,7 +231,7 @@ def main(argv=None) -> int:
     except (DivergenceError, NonFiniteError) as exc:
         print(f"non-finite: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (FormatError, PlanError, FileNotFoundError) as exc:
+    except (FormatError, PlanError) as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
 

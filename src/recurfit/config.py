@@ -98,8 +98,9 @@ def load_config(path, overrides: list | None = None) -> RunConfig:
     path = Path(path)
     try:
         data = json.loads(path.read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"{path}: cannot read config: "
+                          f"{exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:  # JSON or UTF-8 decoding
         raise ConfigError(f"{path}: parse error: {exc}") from exc
     for text in overrides or []:

@@ -18,6 +18,7 @@ before the recurrent block, final_norm, unembed).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,23 +176,16 @@ def _named_params(model) -> dict:
     return out
 
 
-_ROPE_CACHE: dict = {}
-
-
+@functools.cache
 def rope_tables(n: int, head_dim: int, base: float, dtype) -> tuple:
     """(n, 1, head_dim) tables [cos, cos] and [-sin, sin] for
     `autograd.rope_rotate`, broadcast over the heads of a projection."""
-    key = (n, head_dim, float(base), np.dtype(dtype).str)
-    hit = _ROPE_CACHE.get(key)
-    if hit is None:
-        half = head_dim // 2
-        inv_freq = base ** (-np.arange(half, dtype=np.float64) / half)
-        angles = np.outer(np.arange(n), inv_freq)
-        cos, sin = np.cos(angles), np.sin(angles)
-        hit = tuple(np.concatenate(pair, axis=-1).astype(dtype)[:, None]
-                    for pair in ((cos, cos), (-sin, sin)))
-        _ROPE_CACHE[key] = hit
-    return hit
+    half = head_dim // 2
+    inv_freq = base ** (-np.arange(half, dtype=np.float64) / half)
+    angles = np.outer(np.arange(n), inv_freq)
+    cos, sin = np.cos(angles), np.sin(angles)
+    return tuple(np.concatenate(pair, axis=-1).astype(dtype)[:, None]
+                 for pair in ((cos, cos), (-sin, sin)))
 
 
 def decoder_block(x: Tensor, bw: BlockWeights, cfg: ModelConfig) -> Tensor:

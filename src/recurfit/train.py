@@ -96,6 +96,40 @@ def _save_checkpoint(path, model, optimizer, state: TrainState):
     ckpt.save(path)
 
 
+def _optimizer_state(ckpt: Checkpoint, params: dict, path) -> dict:
+    """The checkpoint's `optimizer.*` tensors without that prefix, each
+    checked: a step count (`t`, `fb.t`) is one integer >= 0, and any
+    other tensor, keyed `<route>.<parameter>`, is a finite float moment
+    or buffer of its parameter's shape."""
+    shapes = {name: p.data.shape for name, p in params.items()}
+    state = {}
+    for key, arr in ckpt.tensors.items():
+        if not key.startswith("optimizer."):
+            continue
+        name = key[len("optimizer."):]
+        if name.split(".")[-1] == "t":
+            if arr.dtype.kind not in "iu" or arr.shape != (1,) or arr[0] < 0:
+                raise FormatError(f"{path}: optimizer step count {name} is "
+                                  f"{arr!r}, not one integer >= 0")
+        else:
+            suffixes = (name.split(".", i)[-1]
+                        for i in range(1, name.count(".") + 1))
+            param = next((s for s in suffixes if s in shapes), None)
+            if param is None:
+                raise FormatError(f"{path}: optimizer state {name} names no "
+                                  f"parameter")
+            if arr.dtype.kind != "f" or arr.shape != shapes[param]:
+                raise FormatError(
+                    f"{path}: optimizer state {name} has shape {arr.shape} "
+                    f"and dtype {arr.dtype}; parameter {param} has float "
+                    f"shape {shapes[param]}")
+            if not np.isfinite(arr).all():
+                raise NonFiniteError(f"{path}: optimizer state {name} is not "
+                                     f"finite")
+        state[name] = arr
+    return state
+
+
 def _micro_loss_and_grads(model, inputs, targets, run):
     with Tape() as tape:
         logits = (forward_fixed(model, inputs) if isinstance(model, FixedModel)
@@ -122,8 +156,7 @@ def train(cfg: RunConfig, resume_from: str | None = None) -> dict:
                       "metadata", FormatError)
         try:
             optimizer.load_state_tensors(
-                {k[len("optimizer."):]: v for k, v in ckpt.tensors.items()
-                 if k.startswith("optimizer.")})
+                _optimizer_state(ckpt, model.params(), resume_from))
         except KeyError as exc:
             raise FormatError(f"{resume_from}: no optimizer state {exc} to "
                               f"resume from") from exc

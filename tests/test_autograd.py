@@ -269,8 +269,8 @@ def test_causal_attn_matches_copy_and_mask_chain_bitwise(groups, n, dtype):
 
 
 def test_causal_attn_untaped_call_after_a_nan_row_is_unaffected():
-    """Off the tape the attention array is reused; a NaN score row must
-    not leave NaN in the next call's masked entries."""
+    """A NaN score row must not leave NaN in the next untaped call's
+    masked entries."""
     q, k, v = _attn_inputs(2, 17, np.float64)
     clean = ag.causal_attn(Tensor(q), Tensor(k), Tensor(v), 0.5).data
     poisoned = q.copy()
@@ -279,6 +279,33 @@ def test_causal_attn_untaped_call_after_a_nan_row_is_unaffected():
     assert np.isnan(hit[0, 0, 3]).all() and np.isfinite(hit[0, 0, 4]).all()
     again = ag.causal_attn(Tensor(q), Tensor(k), Tensor(v), 0.5).data
     assert again.tobytes() == clean.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("op", ["rms_norm-row", "rms_norm-heads", "silu_glu",
+                                "rope_rotate"])
+def test_fused_op_gives_the_same_bytes_on_and_off_the_tape(op, dtype):
+    """An op allocates the same way whether it records or not, so two
+    consecutive untaped calls give the taped output's bytes."""
+    rng = np.random.default_rng(4)
+    x, y = (Tensor(rng.standard_normal((2, 9, 16)).astype(dtype))
+            for _ in range(2))
+    row_gain = Tensor((1.0 + 0.1 * rng.standard_normal(16)).astype(dtype))
+    head_gain = Tensor((1.0 + 0.1 * rng.standard_normal((2, 8))).astype(dtype))
+    cos, sin = rope_tables(9, 8, 10000.0, dtype)
+    call = {"rms_norm-row": lambda: ag.rms_norm(x, row_gain, 1e-5),
+            "rms_norm-heads": lambda: ag.rms_norm(x, head_gain, 1e-5),
+            "silu_glu": lambda: ag.silu_glu(x, y),
+            "rope_rotate": lambda: ag.rope_rotate(x, cos, sin)}[op]
+    with Tape():
+        taped = call()
+        with ag.no_record():
+            untaped = [call() for _ in range(2)]
+    assert taped.node is not None
+    for out in untaped:
+        assert out.node is None
+        assert out.dtype == taped.dtype == dtype
+        assert out.data.tobytes() == taped.data.tobytes()
 
 
 def _reference_head_norm(x, gain, eps, g):

@@ -408,6 +408,48 @@ def test_cli_out_naming_a_directory_is_config_error(tmp_path, donor_ckpt,
     assert list(root.rglob("*")) == [root / "taken"]
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("flops", "--mean-r", "0.5"), ("flops", "--mean-r", "nan"),
+    ("flops", "--mean-r", "inf"), ("flops", "--window", "-3"),
+    ("flops", "--window", "0"), ("flops", "--tokens", "-5"),
+    ("surgery", "--noise-std", "-1"), ("surgery", "--noise-std", "nan"),
+    ("surgery", "--noise-std", "inf"), ("schedule-dump", "--steps", "-3"),
+])
+def test_cli_number_flag_out_of_bounds_is_config_error(
+        tmp_path, donor_ckpt, monkeypatch, capsys, command, flag, value):
+    """Each flag is bounded like the field it mirrors; these used to print
+    negative or non-JSON numbers, or write a noise-free adapter with the
+    bad value in its metadata."""
+    root = tmp_path / "root"
+    monkeypatch.setenv("RECURFIT_OUT_ROOT", str(root))
+    base = {"flops": ["--config", str(write_config(tmp_path)), "--tokens",
+                      "1000"],
+            "surgery": ["--donor", str(donor_ckpt), "--plan-tuple", "1,2,1",
+                        "--out", "cut.rfck"],
+            "schedule-dump": ["--config", str(write_config(tmp_path))]}
+    assert main([command] + base[command] + [flag, value]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert flag in captured.err and captured.out == ""
+    assert not root.exists()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["eval", "--checkpoint", "{dir}"], EXIT_FORMAT),
+    (["surgery", "--donor", "{dir}", "--plan-tuple", "1,2,1", "--out",
+      "cut.rfck"], EXIT_FORMAT),
+    (["train", "--config", "{dir}"], EXIT_CONFIG),
+], ids=["eval-checkpoint", "surgery-donor", "train-config"])
+def test_cli_input_path_naming_a_directory_is_named(tmp_path, monkeypatch,
+                                                    capsys, argv, code):
+    """Each used to exit 1 with a raw IsADirectoryError."""
+    monkeypatch.setenv("RECURFIT_OUT_ROOT", str(tmp_path / "root"))
+    where = tmp_path / "dir"
+    where.mkdir()
+    assert main([arg.format(dir=where) for arg in argv]) == code
+    assert f"{where}: cannot read" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [where]
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

@@ -482,7 +482,7 @@ def test_taped_forward_holds_less_than_its_op_outputs(tiny_recurrent,
         return out
 
     monkeypatch.setattr(ag, "_make", counted)
-    with Tape():  # also allocates the scratch arrays and RoPE tables
+    with Tape():  # also fills the RoPE table and causal-mask caches
         forward()
     monkeypatch.undo()
     tracemalloc.start()

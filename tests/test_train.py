@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -295,6 +296,39 @@ def test_resume_without_training_state_is_format_error(tmp_path, make_bad,
     make_bad(Checkpoint.load(tmp_path / "run" / "ckpt_step1.rfck")).save(bad)
     with pytest.raises(FormatError, match=missing):
         train(tiny_run(tmp_path / "resumed", 2), resume_from=str(bad))
+
+
+@pytest.fixture(scope="module")
+def muon_ckpt(tmp_path_factory):
+    """The step-1 checkpoint of a 2-step Muon run, whose optimizer state
+    holds buffers (`buf.*`) and an AdamW fallback (`fb.*`)."""
+    out = tmp_path_factory.mktemp("muon") / "run"
+    train(tiny_run(out, 2, optimizer="muon", checkpoint_interval=1))
+    return out / "ckpt_step1.rfck"
+
+
+@pytest.mark.parametrize("key,value,error,needle", [
+    ("buf.adapter", np.zeros(3), FormatError, "buf.adapter has shape (3,)"),
+    ("fb.t", np.zeros(0, np.int64), FormatError, "step count fb.t"),
+    ("fb.m.embed", np.zeros((2, 2)), FormatError,
+     "fb.m.embed has shape (2, 2)"),
+    ("fb.v.embed", np.full((257, 16), np.nan), NonFiniteError,
+     "fb.v.embed is not finite"),
+    ("buf.nowhere", np.zeros(3), FormatError, "buf.nowhere names no parameter"),
+], ids=["buffer-shape", "empty-step-count", "moment-shape", "nan-moment",
+        "no-such-parameter"])
+def test_resume_with_malformed_optimizer_state_is_rejected(
+        tmp_path, muon_ckpt, key, value, error, needle):
+    """The first three used to escape as a raw ValueError or IndexError,
+    and the last two to train on, into NaN weights or carrying a buffer
+    that no parameter reads."""
+    ckpt = Checkpoint.load(muon_ckpt)
+    ckpt.tensors[f"optimizer.{key}"] = value
+    bad = tmp_path / "bad.rfck"
+    ckpt.save(bad)
+    with pytest.raises(error, match=re.escape(needle)):
+        train(tiny_run(tmp_path / "resumed", 2, optimizer="muon"),
+              resume_from=str(bad))
 
 
 def test_donor_without_depth_is_format_error(tmp_path):
