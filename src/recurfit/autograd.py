@@ -25,6 +25,10 @@ products (row blocks of a product can round differently on OpenBLAS),
 and RoPE adds a half-swapped view instead of concatenating halves. Each
 op allocates the arrays it makes, the same way on and off the tape; the
 cached causal masks are the only state an op keeps between calls.
+Backward recomputes what is cheap to rebuild instead of keeping it:
+attention saves its row maximum and row sum and rebuilds the (n, n)
+probabilities from them, and SwiGLU rebuilds sigmoid(gate) from the
+gate, each through the helper its forward ran, so bit for bit.
 
 Ops do not check results for NaN/Inf; checkpoint tensors are checked at
 load, and losses, gradient norms and layer scores where they are read.
@@ -307,20 +311,26 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
     return _make(data, (x, gain), bwd)
 
 
-def silu_glu(gate: Tensor, up: Tensor) -> Tensor:
-    """SwiGLU activation: silu(gate) * up.
-
-    sigmoid(gate) is built in one array (negate, exp, +1, reciprocal).
-    Backward reads sigmoid(gate) only and recomputes silu(gate)."""
-    gd, ud = gate.data, up.data
-    sig = np.negative(gd)
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """sigmoid(x) built in one array: negate, exp, +1, reciprocal."""
+    sig = np.negative(x)
     np.exp(sig, out=sig)
     sig += 1.0
     np.reciprocal(sig, out=sig)
-    data = gd * sig
+    return sig
+
+
+def silu_glu(gate: Tensor, up: Tensor) -> Tensor:
+    """SwiGLU activation: silu(gate) * up.
+
+    Backward saves only gate and up: it rebuilds sigmoid(gate) with the
+    forward's own `_sigmoid`, so it reads the same bits."""
+    gd, ud = gate.data, up.data
+    data = gd * _sigmoid(gd)
     data = data * ud
 
     def bwd(g):
+        sig = _sigmoid(gd)
         dsig = sig * (1.0 + gd * (1.0 - sig))
         return g * ud * dsig, g * (gd * sig)
 
@@ -395,6 +405,41 @@ def _causal_masks(n: int) -> tuple:
     return future, ~future
 
 
+def _causal_softmax(q5: np.ndarray, kt: np.ndarray, att_scale: float,
+                    stats: tuple | None = None) -> tuple:
+    """Causal softmax(q5 kᵀ · scale) over the last axis, and its
+    (row max, row sum).
+
+    The scores are scaled where they land, unless the scale promotes them
+    (a float32 q with an np.float64 scale), in which case the scaled copy
+    takes their place. exp writes the kept entries only, into a fresh
+    zeroed array, and the division runs in place. Without `stats`, the
+    future entries are filled with -inf and the row maximum is `fmax`'s,
+    the faster reduction: it differs from `max` only by skipping NaN, and
+    a row holding a NaN score is NaN either way, through its sum. Given
+    the stats of an earlier call on the same operands, it runs the same
+    ufuncs on the kept entries with the saved max and sum, so it returns
+    the same bits."""
+    future, kept = _causal_masks(q5.shape[-2])
+    scores = q5 @ kt
+    if np.result_type(scores, att_scale) == scores.dtype:
+        scores *= att_scale
+    else:
+        scores = scores * att_scale
+    if stats is None:
+        np.copyto(scores, -np.inf, where=future)
+        row_max = np.fmax.reduce(scores, axis=-1, keepdims=True)
+    else:
+        row_max, sums = stats
+    scores -= row_max
+    attn = np.zeros(scores.shape, scores.dtype)
+    np.exp(scores, out=attn, where=kept)
+    if stats is None:
+        sums = attn.sum(axis=-1, keepdims=True)
+    attn /= sums
+    return attn, (row_max, sums)
+
+
 def causal_attn(q: Tensor, k: Tensor, v: Tensor, att_scale: float) -> Tensor:
     """softmax(q kᵀ · scale + causal mask) v with grouped-query heads.
 
@@ -403,17 +448,14 @@ def causal_attn(q: Tensor, k: Tensor, v: Tensor, att_scale: float) -> Tensor:
     broadcast over their query group, never copied; backward sums each
     group's kv gradient over the group axis.
 
-    The softmax runs in place. The scores are scaled where they land,
-    unless the scale promotes them (a float32 q with an np.float64
-    scale), in which case the scaled copy takes their place. The row
-    maximum is `fmax`'s, the faster reduction: it differs from `max` only
-    by skipping NaN, and a row holding a NaN score is NaN either way,
-    through its sum. exp writes the kept entries only, into a fresh
-    zeroed attention array, which backward keeps. Both products stay
-    whole (n, n) products, so they round as before on any BLAS. attn·v is
-    written through a strided view into a (B, n, H*d) array, so the
-    output is a head split of that array and `merge_heads` of it is a
-    reshape without a copy.
+    The softmax runs in place (`_causal_softmax`). Backward keeps no
+    (n, n) array: it saves the (B, Hk, g, n, 1) row maximum and row sum
+    and rebuilds the probabilities from them and from q, k and v, which
+    it holds anyway, with the forward's own ufunc calls, so bit for bit.
+    Both products stay whole (n, n) products, so they round as before on
+    any BLAS. attn·v is written through a strided view into a (B, n, H*d)
+    array, so the output is a head split of that array and `merge_heads`
+    of it is a reshape without a copy.
     """
     b, h, n, d = q.data.shape
     hk = k.data.shape[1]
@@ -424,26 +466,14 @@ def causal_attn(q: Tensor, k: Tensor, v: Tensor, att_scale: float) -> Tensor:
     q5 = q.data.reshape(b, hk, groups, n, d)
     k5, v5 = k.data[:, :, None], v.data[:, :, None]
     kt = np.swapaxes(k5, -1, -2)
-    shape = (b, hk, groups, n, n)
-    future, kept = _causal_masks(n)
-    scores = q5 @ kt
-    dtype = np.result_type(scores, att_scale)
-    if scores.dtype == dtype:
-        scores *= att_scale
-    else:
-        scores = scores * att_scale
-    np.copyto(scores, -np.inf, where=future)
-    scores -= np.fmax.reduce(scores, axis=-1, keepdims=True)
-    attn = np.zeros(shape, dtype)
-    np.exp(scores, out=attn, where=kept)
-    sums = attn.sum(axis=-1, keepdims=True)
-    attn /= sums
+    attn, stats = _causal_softmax(q5, kt, att_scale)
     merged = np.empty((b, n, h * d), np.result_type(attn, v5))
     np.matmul(attn, v5, out=merged.reshape(b, n, hk, groups, d)
               .transpose(0, 2, 3, 1, 4))
     data = merged.reshape(b, n, h, d).transpose(0, 2, 1, 3)
 
     def bwd(g):
+        attn = _causal_softmax(q5, kt, att_scale, stats)[0]
         g5 = g.reshape(b, hk, groups, n, d)
         gv = (np.swapaxes(attn, -1, -2) @ g5).sum(axis=2)
         d_scores = g5 @ np.swapaxes(v5, -1, -2)

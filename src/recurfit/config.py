@@ -103,6 +103,9 @@ def load_config(path, overrides: list | None = None) -> RunConfig:
                           f"{exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:  # JSON or UTF-8 decoding
         raise ConfigError(f"{path}: parse error: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected an object at the top level, "
+                          f"got {type(data).__name__}")
     for text in overrides or []:
         key, value = _parse_override(text)
         _apply_override(data, key, value)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -227,11 +229,11 @@ def _reference_attn(q, k, v, att_scale, g_out):
     return out, gq, gk, gv
 
 
-def _attn_inputs(groups, n, dtype, seed=0, kv_heads=2, d=4):
+def _attn_inputs(groups, n, dtype, seed=0, kv_heads=2, d=4, b=2):
     """q as (B, H, n, d) and k, v as (B, Hk, n, d), head-split views of
     contiguous (B, n, heads, d) arrays as the decoder block makes them."""
     rng = np.random.default_rng(seed)
-    b, h = 2, kv_heads * groups
+    h = kv_heads * groups
     q = rng.standard_normal((b, n, h, d)).astype(dtype).transpose(0, 2, 1, 3)
     k, v = (rng.standard_normal((b, n, kv_heads, d)).astype(dtype)
             .transpose(0, 2, 1, 3) for _ in range(2))
@@ -425,6 +427,83 @@ def test_causal_attn_rejects_ungrouped_heads():
     q, k, v = _attn_inputs(1, 3, np.float64, kv_heads=3)
     with pytest.raises(ShapeError):
         ag.causal_attn(Tensor(q[:, :2]), Tensor(k), Tensor(v), 0.5)
+
+
+def _held_by_taped_call(call):
+    """Bytes a taped call leaves allocated while its output lives: the
+    output plus whatever its backward saved beyond the live inputs."""
+    call()  # fills the per-shape caches (causal masks) off the tape
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with Tape():
+            out = call()
+            held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return held, out.data.nbytes
+
+
+def test_taped_attention_keeps_row_statistics_not_probabilities():
+    """At the bench's shapes (B 8, 4 query heads over 2 kv heads, n 64,
+    d 16, float64), attention backward saves its (B, Hk, g, n, 1) row
+    maximum and sum, not its (n, n) probabilities (1 MiB here)."""
+    q, k, v = (Tensor(a) for a in _attn_inputs(2, 64, np.float64, d=16, b=8))
+    held, out_bytes = _held_by_taped_call(
+        lambda: ag.causal_attn(q, k, v, 0.25))
+    assert held <= out_bytes + 128 * 1024, (held, out_bytes)
+
+
+def test_taped_swiglu_keeps_nothing_beyond_gate_and_up():
+    """SwiGLU backward at the bench's (8, 64, 128) shape saves gate and
+    up, which are live anyway, and not its sigmoid (512 KiB here)."""
+    rng = np.random.default_rng(7)
+    gate, up = (Tensor(rng.standard_normal((8, 64, 128))) for _ in range(2))
+    held, out_bytes = _held_by_taped_call(lambda: ag.silu_glu(gate, up))
+    assert held <= out_bytes + 1024, (held, out_bytes)
+
+
+def _same_nans_and_bytes(got, want):
+    nan = np.isnan(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+def test_causal_attn_gradients_of_a_nan_query_row_match_the_reference():
+    """Backward rebuilds a NaN row's probabilities as the forward made
+    them: the gradients hold NaN where the copy-and-mask chain's do, and
+    its bytes everywhere else."""
+    q, k, v = _attn_inputs(2, 17, np.float64)
+    q = q.copy()
+    q[0, 1, 5, 2] = np.nan
+    g_out = np.random.default_rng(2).standard_normal(q.shape)
+    with Tape():
+        out = ag.causal_attn(Tensor(q), Tensor(k), Tensor(v), 0.5)
+    got = (out.data, *out.backward_fn(g_out))
+    for grad, want in zip(got, _reference_attn(q, k, v, 0.5, g_out)):
+        assert np.isnan(want).any() and not np.isnan(want).all()
+        assert _same_nans_and_bytes(grad, want)
+
+
+def test_fused_ops_with_one_huge_row_raise_no_floating_point_error():
+    """One row of attention scores, and one row of SwiGLU gates, scaled
+    by 1e3: rebuilding the probabilities and the sigmoid in backward
+    neither overflows nor makes an invalid value. (The gates stay within
+    +-500: below about -709 the sigmoid's exp overflows, forward and
+    backward alike, though the sigmoid itself comes out as 0.)"""
+    q, k, v = _attn_inputs(2, 17, np.float64)
+    q = q.copy()
+    q[1, 2, 9] *= 1e3
+    rng = np.random.default_rng(5)
+    gate, up = (rng.uniform(-0.5, 0.5, (2, 9, 16)) for _ in range(2))
+    gate[0, 4] *= 1e3
+    leaves = [Tensor(a) for a in (q, k, v, gate, up)]
+    with np.errstate(over="raise", invalid="raise"), Tape() as tape:
+        attn = ag.causal_attn(*leaves[:3], 0.5)
+        loss = ag.add(ag.tsum(attn), ag.tsum(ag.silu_glu(*leaves[3:])))
+        grads = ag.backward(loss, tape)
+    assert all(np.isfinite(grads[leaf]).all() for leaf in leaves)
 
 
 def test_backward_consumes_the_tape():

@@ -134,6 +134,27 @@ def test_malformed_config_is_config_error(tmp_path, capsys, make, overrides,
     assert needle in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides", [[], ["seed=1"]],
+                         ids=["plain", "with-set"])
+@pytest.mark.parametrize("command", [["train"], ["flops", "--tokens", "10"],
+                                     ["schedule-dump"]],
+                         ids=["train", "flops", "schedule-dump"])
+@pytest.mark.parametrize("text", ["[]", "3", '"abc"'],
+                         ids=["list", "number", "string"])
+def test_non_object_config_is_config_error_naming_the_file(
+        tmp_path, capsys, text, command, overrides):
+    """A top level that is not an object is rejected before any override
+    descends into it."""
+    path = _raw_config(tmp_path, text)
+    with pytest.raises(ConfigError, match="expected an object"):
+        load_config(path, overrides)
+    argv = command + ["--config", str(path)]
+    for override in overrides:
+        argv += ["--set", override]
+    assert main(argv) == EXIT_CONFIG
+    assert f"{path}: expected an object" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("extra,needle", [
     ({"lr": {"peak": "a"}}, "lr.peak"),
     ({"grad_clip": "big"}, "grad_clip"),

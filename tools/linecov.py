@@ -7,18 +7,23 @@ merge them into a JSON file of hits:
     python3 tools/linecov.py -- -m pytest -q
     python3 tools/linecov.py -- bench/run.py --workload deep --seconds 5 --trace 1
 
-`--report` prints, per file, the executable lines (from every code
-object's `co_lines()`) that no recorded run executed. A child forked by
-the traced command keeps tracing; when it leaves through `os._exit`, as
-`recurfit.evaluate`'s worker does, it first writes its hits to a per-pid
-side file, which this process merges after the command. Code run in a
-new interpreter (`subprocess`) is not traced. Tracing slows Python-bound
-code about twofold, so wall-clock bounds in the traced command may fail.
+Each file's hits are stored with the SHA-256 of the source they were
+recorded against; a merge replaces the hits of a file whose source has
+changed since, and `--report` ignores (and names) hits that do not
+match the file as it is now. `--report` prints, per file, the executable
+lines (from every code object's `co_lines()`) that no recorded run
+executed. A child forked by the traced command keeps tracing; when it
+leaves through `os._exit`, as `recurfit.evaluate`'s worker does, it
+first writes its hits to a per-pid side file, which this process merges
+after the command. Code run in a new interpreter (`subprocess`) is not
+traced. Tracing slows Python-bound code about twofold, so wall-clock
+bounds in the traced command may fail.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import runpy
@@ -101,27 +106,50 @@ def executable_lines(source: str, filename: str) -> set:
     return lines
 
 
+def source_hash(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def current_lines(entry, path: Path) -> list | None:
+    """The stored lines of `entry` ({"sha256": ..., "lines": [...]}) if it
+    was recorded against `path`'s source as it is now, else None."""
+    if isinstance(entry, dict) and entry.get("sha256") == source_hash(path):
+        return entry["lines"]
+    return None
+
+
 def merge(data_path: Path, hits: dict) -> None:
+    """Add `hits` ({absolute file name: lines}) to the JSON file, dropping
+    the stored lines of a file whose source has changed since."""
     merged = json.loads(data_path.read_text()) if data_path.exists() else {}
     for name, lines in hits.items():
         key = str(Path(name).relative_to(PACKAGE))
-        merged[key] = sorted(set(merged.get(key, [])) | lines)
+        path = PACKAGE / key
+        kept = current_lines(merged.get(key), path) or []
+        merged[key] = {"sha256": source_hash(path),
+                       "lines": sorted(set(kept) | lines)}
     data_path.write_text(json.dumps(merged, indent=1, sort_keys=True) + "\n")
 
 
 def report(data_path: Path) -> None:
-    """Print each file's never-executed lines and their count."""
+    """Print each file's never-executed lines and their count, counting
+    only hits recorded against the file's current source, and name the
+    files whose stored hits were ignored."""
     hits = json.loads(data_path.read_text())
-    missed_total = 0
+    missed_total, stale = 0, []
     for path in sorted(PACKAGE.glob("*.py")):
         key = str(path.relative_to(PACKAGE))
+        ran = current_lines(hits.get(key), path)
+        if ran is None and key in hits:
+            stale.append(key)
         source = path.read_text()
-        missed = sorted(executable_lines(source, str(path))
-                        - set(hits.get(key, [])))
+        missed = sorted(executable_lines(source, str(path)) - set(ran or []))
         missed_total += len(missed)
         lines = source.splitlines()
         for line in missed:
             print(f"{key}:{line}: {lines[line - 1].strip()}")
+    if stale:
+        print(f"ignored hits recorded against other source: {', '.join(stale)}")
     print(f"{missed_total} executable lines never ran")
 
 
