@@ -27,8 +27,9 @@ op allocates the arrays it makes, the same way on and off the tape; the
 cached causal masks are the only state an op keeps between calls.
 Backward recomputes what is cheap to rebuild instead of keeping it:
 attention saves its row maximum and row sum and rebuilds the (n, n)
-probabilities from them, and SwiGLU rebuilds sigmoid(gate) from the
-gate, each through the helper its forward ran, so bit for bit.
+probabilities from them, and the SwiGLU feed-forward keeps only its
+input and rebuilds gate, up, sigmoid(gate) and their product from it,
+each through the helper its forward ran, so bit for bit.
 
 Ops do not check results for NaN/Inf; checkpoint tensors are checked at
 load, and losses, gradient norms and layer scores where they are read.
@@ -283,6 +284,15 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
 # fused neural-net ops
 
 
+def _mul_into(a: np.ndarray, b) -> np.ndarray:
+    """a * b, written into a unless b widens its dtype. IEEE products
+    commute, so this is also b * a bit for bit."""
+    if np.result_type(a, b) != a.dtype:
+        return a * b
+    a *= b
+    return a
+
+
 def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
     """y = x / rms(x) * gain over the last axis of x seen in gain's shape.
 
@@ -293,12 +303,7 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
     width = xs.shape[-1]
     inv = 1.0 / np.sqrt(np.square(xs).sum(axis=-1, keepdims=True) / width
                         + eps)
-    data = xs * inv
-    if np.result_type(data, gd) == data.dtype:
-        data *= gd
-    else:
-        data = data * gd
-    data = data.reshape(shape)
+    data = _mul_into(xs * inv, gd).reshape(shape)
 
     def bwd(g):
         g = g.reshape(xs.shape)
@@ -312,29 +317,63 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """sigmoid(x) built in one array: negate, exp, +1, reciprocal."""
+    """sigmoid(x) built in one array: negate, exp, +1, reciprocal.
+
+    exp overflows to inf below about -709 and the sigmoid comes out as
+    0, its limit, so the overflow is not reported."""
     sig = np.negative(x)
-    np.exp(sig, out=sig)
+    with np.errstate(over="ignore"):
+        np.exp(sig, out=sig)
     sig += 1.0
     np.reciprocal(sig, out=sig)
     return sig
 
 
-def silu_glu(gate: Tensor, up: Tensor) -> Tensor:
-    """SwiGLU activation: silu(gate) * up.
+def _swiglu_gates(xd, wg, wu) -> tuple:
+    """(gate, up, sigmoid(gate)) of the SwiGLU feed-forward on xd, by the
+    same expressions in forward and backward."""
+    gate = xd @ wg
+    return gate, xd @ wu, _sigmoid(gate)
 
-    Backward saves only gate and up: it rebuilds sigmoid(gate) with the
-    forward's own `_sigmoid`, so it reads the same bits."""
-    gd, ud = gate.data, up.data
-    data = gd * _sigmoid(gd)
-    data = data * ud
+
+def silu_glu(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
+    """SwiGLU feed-forward: (silu(x @ w_gate) * (x @ w_up)) @ w_down.
+
+    Backward saves only x, which is live anyway. It rebuilds gate, up and
+    sigmoid(gate) through the forward's own `_swiglu_gates`, so bit for
+    bit, then runs the gradient expressions of the unfused matmul,
+    silu(gate) * up, matmul chain. Products go into an operand that is no
+    longer read (`_mul_into`), and backward drops each array after its
+    last use, so neither holds more than a few arrays of the hidden width
+    at a time. x is a parent twice, once per product, so the tape adds
+    the up and then the gate product's x gradient to what x's later
+    consumers gave it, in the order it added the two products'
+    gradients."""
+    xd, wg, wu, wd = x.data, w_gate.data, w_up.data, w_down.data
 
     def bwd(g):
-        sig = _sigmoid(gd)
-        dsig = sig * (1.0 + gd * (1.0 - sig))
-        return g * ud * dsig, g * (gd * sig)
+        gate, up, sig = _swiglu_gates(xd, wg, wu)
+        silu = gate * sig
+        dsig = 1.0 - sig
+        dsig *= gate
+        dsig += 1.0
+        dsig *= sig                      # sig * (1 + gate * (1 - sig))
+        del gate, sig
+        gwd = _unbroadcast(np.swapaxes(silu * up, -1, -2) @ g, wd.shape)
+        gh = g @ np.swapaxes(wd, -1, -2)
+        g_gate = _mul_into(_mul_into(up, gh), dsig)
+        del up, dsig
+        g_up = _mul_into(silu, gh)
+        del silu, gh
+        xt = np.swapaxes(xd, -1, -2)
+        return (g_up @ np.swapaxes(wu, -1, -2),
+                g_gate @ np.swapaxes(wg, -1, -2),
+                _unbroadcast(xt @ g_gate, wg.shape),
+                _unbroadcast(xt @ g_up, wu.shape), gwd)
 
-    return _make(data, (gate, up), bwd)
+    gate, up, sig = _swiglu_gates(xd, wg, wu)
+    hidden = _mul_into(_mul_into(sig, gate), up)
+    return _make(hidden @ wd, (x, x, w_gate, w_up, w_down), bwd)
 
 
 def split_heads(x: Tensor, n_heads: int, head_dim: int) -> Tensor:
@@ -421,11 +460,7 @@ def _causal_softmax(q5: np.ndarray, kt: np.ndarray, att_scale: float,
     ufuncs on the kept entries with the saved max and sum, so it returns
     the same bits."""
     future, kept = _causal_masks(q5.shape[-2])
-    scores = q5 @ kt
-    if np.result_type(scores, att_scale) == scores.dtype:
-        scores *= att_scale
-    else:
-        scores = scores * att_scale
+    scores = _mul_into(q5 @ kt, att_scale)
     if stats is None:
         np.copyto(scores, -np.inf, where=future)
         row_max = np.fmax.reduce(scores, axis=-1, keepdims=True)

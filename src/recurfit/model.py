@@ -215,8 +215,7 @@ def decoder_block(x: Tensor, bw: BlockWeights, cfg: ModelConfig) -> Tensor:
         return ag.matmul(ag.merge_heads(out), bw.wo)
 
     def mlp(m_in):
-        return ag.matmul(ag.silu_glu(ag.matmul(m_in, bw.w_gate),
-                                     ag.matmul(m_in, bw.w_up)), bw.w_down)
+        return ag.silu_glu(m_in, bw.w_gate, bw.w_up, bw.w_down)
 
     if cfg.post_norm:
         x = ag.add(x, ag.rms_norm(attention(x), bw.g_attn, cfg.norm_eps))

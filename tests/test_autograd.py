@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -120,13 +121,11 @@ def test_mlp_gradients_match_finite_differences(fd_check):
     targets = np.asarray(rng.integers(0, 3, size=(5,)))
 
     def loss_fn():
-        hidden = ag.silu_glu(ag.matmul(Tensor(x), w1), ag.matmul(Tensor(x), w1))
-        logits = ag.matmul(hidden, w2)
+        logits = ag.silu_glu(Tensor(x), w1, w1, w2)
         return ag.cross_entropy_mean(logits, targets).item()
 
     with Tape() as tape:
-        hidden = ag.silu_glu(ag.matmul(Tensor(x), w1), ag.matmul(Tensor(x), w1))
-        logits = ag.matmul(hidden, w2)
+        logits = ag.silu_glu(Tensor(x), w1, w1, w2)
         loss = ag.cross_entropy_mean(logits, targets)
         grads = ag.backward(loss, tape)
     fd_check({"w1": w1, "w2": w2}, loss_fn, grads, rel_tol=1e-4,
@@ -290,14 +289,16 @@ def test_fused_op_gives_the_same_bytes_on_and_off_the_tape(op, dtype):
     """An op allocates the same way whether it records or not, so two
     consecutive untaped calls give the taped output's bytes."""
     rng = np.random.default_rng(4)
-    x, y = (Tensor(rng.standard_normal((2, 9, 16)).astype(dtype))
-            for _ in range(2))
+    x = Tensor(rng.standard_normal((2, 9, 16)).astype(dtype))
+    w_gate, w_up, w_down = (Tensor(0.3 * rng.standard_normal(shape)
+                                   .astype(dtype))
+                            for shape in ((16, 24), (16, 24), (24, 16)))
     row_gain = Tensor((1.0 + 0.1 * rng.standard_normal(16)).astype(dtype))
     head_gain = Tensor((1.0 + 0.1 * rng.standard_normal((2, 8))).astype(dtype))
     cos, sin = rope_tables(9, 8, 10000.0, dtype)
     call = {"rms_norm-row": lambda: ag.rms_norm(x, row_gain, 1e-5),
             "rms_norm-heads": lambda: ag.rms_norm(x, head_gain, 1e-5),
-            "silu_glu": lambda: ag.silu_glu(x, y),
+            "silu_glu": lambda: ag.silu_glu(x, w_gate, w_up, w_down),
             "rope_rotate": lambda: ag.rope_rotate(x, cos, sin)}[op]
     with Tape():
         taped = call()
@@ -431,12 +432,14 @@ def test_causal_attn_rejects_ungrouped_heads():
 
 def _held_by_taped_call(call):
     """Bytes a taped call leaves allocated while its output lives: the
-    output plus whatever its backward saved beyond the live inputs."""
+    output plus whatever its backward saved beyond the live inputs. The
+    empty tape is counted in the base: whether its dict comes from a free
+    list or from malloc varies with the tests run before."""
     call()  # fills the per-shape caches (causal masks) off the tape
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
         with Tape():
+            base = tracemalloc.get_traced_memory()[0]
             out = call()
             held = tracemalloc.get_traced_memory()[0] - base
     finally:
@@ -454,13 +457,75 @@ def test_taped_attention_keeps_row_statistics_not_probabilities():
     assert held <= out_bytes + 128 * 1024, (held, out_bytes)
 
 
-def test_taped_swiglu_keeps_nothing_beyond_gate_and_up():
-    """SwiGLU backward at the bench's (8, 64, 128) shape saves gate and
-    up, which are live anyway, and not its sigmoid (512 KiB here)."""
+def test_taped_swiglu_keeps_only_its_input():
+    """The SwiGLU feed-forward at the bench's shape, (8, 64, 64) input
+    and width 128, saves only its input, which is live anyway: not gate,
+    up or their product (512 KiB each here), which backward rebuilds."""
     rng = np.random.default_rng(7)
-    gate, up = (Tensor(rng.standard_normal((8, 64, 128))) for _ in range(2))
-    held, out_bytes = _held_by_taped_call(lambda: ag.silu_glu(gate, up))
+    x = Tensor(rng.standard_normal((8, 64, 64)))
+    weights = [Tensor(0.1 * rng.standard_normal(shape).astype(np.float32))
+               for shape in ((64, 128), (64, 128), (128, 64))]
+    held, out_bytes = _held_by_taped_call(lambda: ag.silu_glu(x, *weights))
     assert held <= out_bytes + 1024, (held, out_bytes)
+
+
+def _reference_swiglu(x, w_gate, w_up, w_down, g, gx_later):
+    """Forward and gradients of the unfused chain: the gate and up
+    products, silu(gate) * up, the down product, with each product's
+    gradients as `ag.matmul` makes them. x's gradient is summed as the
+    tape summed it: what a later consumer of x gave, then the up and then
+    the gate product's part."""
+    gate, up = x @ w_gate, x @ w_up
+    sig = 1.0 / (1.0 + np.exp(-gate))
+    hidden = gate * sig * up
+    gh = g @ w_down.T
+    gw_down = (np.swapaxes(hidden, -1, -2) @ g).sum(axis=0)
+    g_gate = gh * up * (sig * (1.0 + gate * (1.0 - sig)))
+    g_up = gh * (gate * sig)
+    gx = gx_later + g_up @ w_up.T + g_gate @ w_gate.T
+    gw_up = (np.swapaxes(x, -1, -2) @ g_up).sum(axis=0)
+    gw_gate = (np.swapaxes(x, -1, -2) @ g_gate).sum(axis=0)
+    return hidden @ w_down, gx, gw_gate, gw_up, gw_down
+
+
+@pytest.mark.parametrize("dtypes", [
+    ("float64",) * 4, ("float64",) + ("float32",) * 3,
+    ("float32", "float32", "float64", "float32")],
+    ids=["float64", "float32-weights", "float64-up"])
+@pytest.mark.parametrize("shape,width", [((8, 64, 64), 128), ((3, 7, 16), 24)])
+def test_swiglu_matches_the_unfused_chain_bitwise(shape, width, dtypes):
+    """Output and all four gradients keep the unfused chain's bytes and
+    dtypes: for float64, for float32 weights on float64 activations (the
+    mix a float32 model computes in), and for a float64 w_up among
+    float32 arrays, which widens the products the op would otherwise
+    form in place. x also feeds a later op, as the residual stream does
+    in a post-norm block, so the order in which the tape sums x's
+    gradient shows."""
+    rng = np.random.default_rng(11)
+    h = shape[-1]
+    x = rng.standard_normal(shape).astype(dtypes[0])
+    weights = [(rng.standard_normal(s) / np.sqrt(s[0])).astype(dtype)
+               for s, dtype in zip(((h, width), (h, width), (width, h)),
+                                   dtypes[1:])]
+    g, gx_later = rng.standard_normal(shape), rng.standard_normal(shape)
+    leaves = [Tensor(a) for a in (x, *weights)]
+    with Tape() as tape:
+        out = ag.silu_glu(*leaves)
+        loss = ag.add(ag.tsum(ag.mul(out, Tensor(g))),
+                      ag.tsum(ag.mul(leaves[0], Tensor(gx_later))))
+        grads = ag.backward(loss, tape)
+    got = [out.data] + [grads[leaf] for leaf in leaves]
+    want = _reference_swiglu(x, *weights, g, gx_later)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert [a.shape for a in got[2:]] == [w.shape for w in weights]
+
+
+def test_sigmoid_of_a_large_negative_input_is_zero_without_overflow():
+    with np.errstate(over="raise"):
+        sig = ag._sigmoid(np.array([-800.0, 1.0]))
+    assert sig.tolist() == [0.0, 1.0 / (1.0 + np.exp(-1.0))]
 
 
 def _same_nans_and_bytes(got, want):
@@ -488,22 +553,29 @@ def test_causal_attn_gradients_of_a_nan_query_row_match_the_reference():
 
 def test_fused_ops_with_one_huge_row_raise_no_floating_point_error():
     """One row of attention scores, and one row of SwiGLU gates, scaled
-    by 1e3: rebuilding the probabilities and the sigmoid in backward
-    neither overflows nor makes an invalid value. (The gates stay within
-    +-500: below about -709 the sigmoid's exp overflows, forward and
-    backward alike, though the sigmoid itself comes out as 0.)"""
+    by 1e3, and a row of gates at -800, where the sigmoid's exp
+    overflows: forward and backward, rebuilding the probabilities and the
+    sigmoid included, give finite values and neither raise under strict
+    floating-point checks nor warn."""
     q, k, v = _attn_inputs(2, 17, np.float64)
     q = q.copy()
     q[1, 2, 9] *= 1e3
     rng = np.random.default_rng(5)
-    gate, up = (rng.uniform(-0.5, 0.5, (2, 9, 16)) for _ in range(2))
-    gate[0, 4] *= 1e3
-    leaves = [Tensor(a) for a in (q, k, v, gate, up)]
-    with np.errstate(over="raise", invalid="raise"), Tape() as tape:
-        attn = ag.causal_attn(*leaves[:3], 0.5)
-        loss = ag.add(ag.tsum(attn), ag.tsum(ag.silu_glu(*leaves[3:])))
-        grads = ag.backward(loss, tape)
-    assert all(np.isfinite(grads[leaf]).all() for leaf in leaves)
+    x = rng.uniform(-0.5, 0.5, (2, 9, 16))
+    x[0, 4] *= 1e3
+    x[1, 2] = -800.0
+    w_gate = np.eye(16)  # the gates are x itself
+    w_up, w_down = (rng.uniform(-0.5, 0.5, (16, 16)) for _ in range(2))
+    leaves = [Tensor(a) for a in (q, k, v, x, w_gate, w_up, w_down)]
+    for fp_errors in ("raise", "warn"):  # a warning is an error here too
+        with (warnings.catch_warnings(action="error"),
+              np.errstate(over=fp_errors, invalid=fp_errors), Tape() as tape):
+            attn = ag.causal_attn(*leaves[:3], 0.5)
+            mlp = ag.silu_glu(*leaves[3:])
+            loss = ag.add(ag.tsum(attn), ag.tsum(mlp))
+            grads = ag.backward(loss, tape)
+        assert np.isfinite(attn.data).all() and np.isfinite(mlp.data).all()
+        assert all(np.isfinite(grads[leaf]).all() for leaf in leaves)
 
 
 def test_backward_consumes_the_tape():

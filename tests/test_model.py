@@ -386,13 +386,13 @@ def test_fresh_recurrent_model_stable_at_depth_32():
 
 
 @pytest.mark.parametrize("variant,nodes", [
-    ({}, 19), ({"post_norm": True}, 19), ({"qk_norm": True}, 23)],
+    ({}, 16), ({"post_norm": True}, 16), ({"qk_norm": True}, 20)],
     ids=["pre_norm", "post_norm", "qk_norm"])
 def test_block_tape_node_count(tiny_cfg, variant, nodes):
-    """One op per node: two norms, q/k/v/o and three MLP projections,
-    RoPE on q and k, three head splits, attention, the head merge, SwiGLU
-    and two residual adds; QK-norm adds a norm and a gain reshape for each
-    of q and k. Finite-difference sweeps pay per node."""
+    """One op per node: two norms, the q/k/v/o projections, RoPE on q
+    and k, three head splits, attention, the head merge, the SwiGLU
+    feed-forward and two residual adds; QK-norm adds a norm and a gain
+    reshape for each of q and k. Finite-difference sweeps pay per node."""
     cfg = dataclasses.replace(tiny_cfg, **variant)
     model = init_fixed(cfg, 1, RandomStream(0, "init"))
     with Tape() as tape:
@@ -436,18 +436,22 @@ def test_backward_peak_stays_near_forward_memory(tiny_recurrent):
 def test_block_frees_the_outputs_that_no_backward_reads(tiny_fixed,
                                                         monkeypatch):
     """The tape records the graph, not the values. The q projection (read
-    only by RoPE's forward) and the wo and w_down products (read only by
-    residual adds) are freed once `decoder_block` returns; each product's
-    input, which its backward reads, stays."""
+    only by RoPE's forward), the wo product and the SwiGLU feed-forward's
+    output (read only by residual adds) are freed once `decoder_block`
+    returns; each op's input, which its backward reads, stays. Each is
+    found by its last weight."""
     bw, cfg = tiny_fixed.blocks[0], tiny_fixed.config
-    refs, matmul = {}, ag.matmul
+    refs = {}
 
-    def watched(a, b):
-        out = matmul(a, b)
-        refs[id(b)] = (weakref.ref(out.data), weakref.ref(a.data))
-        return out
+    def watched(op):
+        def call(a, *weights):
+            out = op(a, *weights)
+            refs[id(weights[-1])] = (weakref.ref(out.data), weakref.ref(a.data))
+            return out
+        return call
 
-    monkeypatch.setattr(ag, "matmul", watched)
+    monkeypatch.setattr(ag, "matmul", watched(ag.matmul))
+    monkeypatch.setattr(ag, "silu_glu", watched(ag.silu_glu))
     x = Tensor(np.random.default_rng(0).standard_normal((2, 5, cfg.hidden)))
     with Tape() as tape:
         y = decoder_block(x, bw, cfg)
@@ -495,6 +499,34 @@ def test_taped_forward_holds_less_than_its_op_outputs(tiny_recurrent,
         tracemalloc.stop()
     assert logits.shape == (8, 16, 11)
     assert held < sum(output_bytes), (held, sum(output_bytes))
+
+
+def test_bench_shaped_taped_window_holds_at_most_45_mib():
+    """The bench's model (h 64, 4 query over 2 kv heads, width 128, float32
+    weights, plan (1, 2, 1)) on 8x64 tokens at r=12, w=8: a taped forward
+    plus cross entropy holds at most 45 MiB (37.7 MiB today). A tape whose
+    SwiGLU kept gate, up and their product held 64.7 MiB."""
+    cfg = ModelConfig(vocab_size=257, hidden=64, n_query_heads=4,
+                      n_kv_heads=2, head_dim=16, ffn_width=128,
+                      context_length=64)
+    model = init_recurrent(cfg, (1, 2, 1), RandomStream(0, "init"),
+                           dtype=np.float32)
+    tokens = RandomStream(1, "tok").integers(0, 257, (8, 64))
+    targets = RandomStream(2, "tgt").integers(0, 257, (8, 64))
+    run = RecurrenceRun(12, 8, RandomStream(9, "s0"))
+    with ag.no_record():  # fills the RoPE table and causal-mask caches
+        forward_recurrent(model, tokens[:1], run)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with Tape():
+            loss = ag.cross_entropy_mean(
+                forward_recurrent(model, tokens, run), targets)
+            held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(loss.item())
+    assert held <= 45 * 2**20, held
 
 
 @pytest.mark.xfail(strict=True, reason="the np.float64 attention scale "
