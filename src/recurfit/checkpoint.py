@@ -17,11 +17,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, NonFiniteError
 
 MAGIC = b"RFCK"
 FORMAT_VERSION = 1
 PREAMBLE_BYTES = 16  # magic, u32 version, u64 header length
+
+
+def checked_float(what: str, data, shape: tuple) -> np.ndarray:
+    """`data` as an array, if it is a finite float32/64 one of `shape`;
+    else a FormatError (a NonFiniteError for NaN/Inf) naming `what`."""
+    data = np.asarray(data)
+    if data.dtype.kind != "f" or data.dtype.itemsize not in (4, 8):
+        raise FormatError(f"{what} has dtype {data.dtype}, not float32/64")
+    if data.shape != shape:
+        raise FormatError(f"{what} has shape {data.shape}, not {shape}")
+    if not np.isfinite(data).all():
+        raise NonFiniteError(f"{what} is not finite")
+    return data
 
 
 @dataclass

@@ -10,6 +10,7 @@ error, 3 data/input error, 4 divergence abort or non-finite values,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -18,10 +19,8 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import Checkpoint
-from .config import load_config, resolved_config_json
+from .config import load_config
 from .data import eval_batch
 from .errors import (ConfigError, ContractError, DivergenceError, FormatError,
                      InputError, NonFiniteError, PlanError)
@@ -137,14 +136,11 @@ def cmd_schedule_dump(args) -> int:
     rows = [(step, curriculum_mean(cfg.curriculum, step),
              window_at(cfg.window, step), f"{lr_at(cfg.lr, step):.10g}")
             for step in range(steps)]
-    target = open(_out_path(args.out), "w", newline="") if args.out else sys.stdout
-    try:
+    with (open(_out_path(args.out), "w", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as target:
         writer = csv.writer(target)
         writer.writerow(["step", "mean", "window", "lr"])
         writer.writerows(rows)
-    finally:
-        if args.out:
-            target.close()
     return EXIT_OK
 
 
@@ -165,6 +161,9 @@ def cmd_layer_scores(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="recurfit")
     sub = parser.add_subparsers(dest="command", required=True)
+    run_config = argparse.ArgumentParser(add_help=False)
+    run_config.add_argument("--config", required=True)
+    run_config.add_argument("--set", action="append", metavar="KEY=VALUE")
 
     p = sub.add_parser("surgery", help="cut a recurrent checkpoint from a donor")
     p.add_argument("--donor", required=True)
@@ -177,9 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan-file")
     p.set_defaults(func=cmd_surgery)
 
-    p = sub.add_parser("train", help="run or resume a training config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
+    p = sub.add_parser("train", parents=[run_config],
+                       help="run or resume a training config")
     p.add_argument("--resume")
     p.set_defaults(func=cmd_train)
 
@@ -193,17 +191,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("flops", help="training-FLOP accounting for a config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
+    p = sub.add_parser("flops", parents=[run_config],
+                       help="training-FLOP accounting for a config")
     p.add_argument("--mean-r", type=float, default=32.0)
     p.add_argument("--window", type=int, default=8)
     p.add_argument("--tokens", type=int, required=True)
     p.set_defaults(func=cmd_flops)
 
-    p = sub.add_parser("schedule-dump", help="emit step,mean,window,lr CSV")
-    p.add_argument("--config", required=True)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
+    p = sub.add_parser("schedule-dump", parents=[run_config],
+                       help="emit step,mean,window,lr CSV")
     p.add_argument("--steps", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_schedule_dump)

@@ -17,6 +17,7 @@ from .random import RandomStream
 
 SEP_TOKEN = 256
 BYTE_VOCAB = 257
+DATASET_IDS = ("plain", "arithmetic", "copy")
 
 _LEXICON = ("the quick brown fox jumps over a lazy dog while rain falls on "
             "green hills and small birds sing near quiet rivers under pale "
@@ -44,7 +45,8 @@ def generate_document(dataset_id: str, stream: RandomStream) -> bytes:
                            for _ in range(length))
             parts.append(f"{word}|{word};")
         return "".join(parts).encode()
-    raise InputError(f"unknown dataset id {dataset_id!r}")
+    raise InputError(f"unknown dataset id {dataset_id!r}, not in "
+                     f"{DATASET_IDS}")
 
 
 def pack_corpus(documents, context_length: int = 1024):
@@ -97,6 +99,9 @@ def validate_phases(phases: list, total_steps: int) -> None:
         weights = np.asarray(ph["weights"], dtype=np.float64)
         if len(ph["datasets"]) != len(weights):
             raise ContractError("datasets and weights length mismatch")
+        if unknown := [d for d in ph["datasets"] if d not in DATASET_IDS]:
+            raise ContractError(f"unknown dataset ids {unknown}, not in "
+                                f"{DATASET_IDS}")
         if (weights < 0).any() or abs(weights.sum() - 1.0) > 1e-9:
             raise ContractError("phase weights must be nonnegative and sum to 1")
         expected_start = ph["end"]

@@ -1,6 +1,7 @@
 """Declared types and bounds of dataclass fields: `check` applies them to
-an object from its `__post_init__`, and `build` makes an object from a
-JSON object, naming a bad value by its dotted key."""
+an object from its `__post_init__` (which `checked_dataclass` sets to
+it), and `build` makes an object from a JSON object, naming a bad value
+by its dotted key."""
 
 from __future__ import annotations
 
@@ -63,6 +64,12 @@ def check(obj, error=ContractError) -> None:
     for name in _declared(type(obj)):
         if problem := _problem(type(obj), name, getattr(obj, name)):
             raise error(name + problem)
+
+
+def checked_dataclass(cls):
+    """`dataclass(cls)` whose `__init__` ends in `check`."""
+    cls.__post_init__ = check
+    return dataclasses.dataclass(cls)
 
 
 def build(cls, data, path: str, error):

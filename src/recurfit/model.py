@@ -26,7 +26,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .errors import ContractError, InputError
-from .fields import bounded, check
+from .fields import bounded, check, checked_dataclass
 from .random import RandomStream
 
 
@@ -104,15 +104,12 @@ class BlockWeights:
                 if t is not None}
 
 
-@dataclass
+@checked_dataclass
 class RecurrenceRun:
     """Recurrent passes to run, how many carry gradients, and s0's stream."""
     r: int = bounded(1)
     window: int = bounded(1)
     s0_stream: RandomStream
-
-    def __post_init__(self):
-        check(self)
 
     @property
     def detach_boundary(self) -> int:

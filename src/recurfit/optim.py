@@ -3,14 +3,17 @@ with Newton-Schulz orthogonalization, plus global gradient clipping.
 
 All optimizers operate on a name -> Tensor parameter dict and a matching
 name -> ndarray gradient dict, and expose their state as flat arrays so
-checkpoints can resume bit-exactly.
+checkpoints can resume bit-exactly. Each optimizer also reads its state
+back, checked against the parameters: a malformed, unpaired or foreign
+tensor is a FormatError (a non-finite one a NonFiniteError).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, NonFiniteError
+from .checkpoint import checked_float
+from .errors import ContractError, FormatError, NonFiniteError
 
 NS_COEFFS = (3.4445, -4.7750, 2.0315)
 NS_ITERATIONS = 5
@@ -50,6 +53,20 @@ def newton_schulz5(g: np.ndarray) -> np.ndarray:
         gram = x @ x.T
         x = a * x + (b * gram + c * gram @ gram) @ x
     return x.T if transposed else x
+
+
+def _pop_slot(state: dict, prefix: str, params: dict) -> dict:
+    """Pop each `<prefix><name>` tensor of `state` as name -> copy, a
+    finite float array of parameter `name`'s shape."""
+    out = {}
+    for key in [k for k in state if k.startswith(prefix)]:
+        name = key[len(prefix):]
+        if name not in params:
+            raise FormatError(f"optimizer state {key} names no parameter "
+                              f"with {prefix}* state")
+        out[name] = checked_float(f"optimizer state {key}", state.pop(key),
+                                  params[name].data.shape).copy()
+    return out
 
 
 class AdamW:
@@ -92,10 +109,26 @@ class AdamW:
             out[f"v.{name}"] = arr
         return out
 
-    def load_state_tensors(self, tensors):
-        self.t = int(tensors["t"][0])
-        self.m = {k[2:]: v.copy() for k, v in tensors.items() if k.startswith("m.")}
-        self.v = {k[2:]: v.copy() for k, v in tensors.items() if k.startswith("v.")}
+    def load_state_tensors(self, tensors: dict, params: dict,
+                           prefix: str = "") -> None:
+        """Load what `state_tensors` wrote, each key under `prefix`,
+        checked against `params`; any other tensor is a FormatError."""
+        rest = dict(tensors)
+        t = rest.pop(f"{prefix}t", None)
+        if t is None:
+            raise FormatError(f"no optimizer state '{prefix}t' to resume from")
+        if t.dtype.kind not in "iu" or t.shape != (1,) or t[0] < 0:
+            raise FormatError(f"optimizer step count {prefix}t is {t!r}, not "
+                              f"one integer >= 0")
+        m = _pop_slot(rest, f"{prefix}m.", params)
+        v = _pop_slot(rest, f"{prefix}v.", params)
+        for name in sorted(m.keys() ^ v.keys()):
+            raise FormatError(f"optimizer state has only one of {prefix}m."
+                              f"{name} and {prefix}v.{name}")
+        if rest:
+            raise FormatError(f"optimizer state {min(rest)} is no slot of "
+                              f"this optimizer")
+        self.t, self.m, self.v = int(t[0]), m, v
 
 
 class AdamWStar(AdamW):
@@ -121,6 +154,12 @@ class AdamWStar(AdamW):
             p.data = new.astype(p.data.dtype, copy=False)
 
 
+def _fallback_params(params: dict) -> dict:
+    """The parameters Muon hands to its AdamW fallback."""
+    return {n: p for n, p in params.items()
+            if p.data.ndim != 2 or n in ("embed", "unembed")}
+
+
 class Muon:
     """Nesterov momentum + Newton-Schulz orthogonalization for 2D weights;
     `embed`, `unembed` and non-2D tensors fall back to AdamW at the same
@@ -133,14 +172,10 @@ class Muon:
         self.fallback = AdamW(weight_decay=weight_decay)
 
     def step(self, params, grads, lr):
-        fallback_params, fallback_grads = {}, {}
+        fallback = _fallback_params(params)
         for name, p in params.items():
             g = grads.get(name)
-            if g is None:
-                continue
-            if p.data.ndim != 2 or name in ("embed", "unembed"):
-                fallback_params[name] = p
-                fallback_grads[name] = g
+            if g is None or name in fallback:
                 continue
             buf = self.buffers.get(name)
             if buf is None:
@@ -153,8 +188,9 @@ class Muon:
             shape_scale = np.sqrt(max(rows, cols) / min(rows, cols))
             new = p.data * (1.0 - lr * self.weight_decay) - lr * shape_scale * ortho
             p.data = new.astype(p.data.dtype, copy=False)
-        if fallback_params:
-            self.fallback.step(fallback_params, fallback_grads, lr)
+        fallback_grads = {n: g for n, g in grads.items() if n in fallback}
+        if fallback_grads:
+            self.fallback.step(fallback, fallback_grads, lr)
 
     def state_tensors(self):
         out = {f"buf.{k}": v for k, v in self.buffers.items()}
@@ -162,11 +198,15 @@ class Muon:
             out[f"fb.{k}"] = v
         return out
 
-    def load_state_tensors(self, tensors):
-        self.buffers = {k[4:]: v.copy() for k, v in tensors.items()
-                        if k.startswith("buf.")}
-        self.fallback.load_state_tensors(
-            {k[3:]: v for k, v in tensors.items() if k.startswith("fb.")})
+    def load_state_tensors(self, tensors: dict, params: dict) -> None:
+        """Load what `state_tensors` wrote: buffers of the parameters Muon
+        updates, then fallback state of the others and no other tensor."""
+        rest = dict(tensors)
+        fallback = _fallback_params(params)
+        buffers = _pop_slot(rest, "buf.", {n: p for n, p in params.items()
+                                           if n not in fallback})
+        self.fallback.load_state_tensors(rest, fallback, "fb.")
+        self.buffers = buffers
 
 
 def build_optimizer(name: str, hyper: dict | None = None) -> AdamW | Muon:

@@ -13,21 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Literal
 
 from .errors import ContractError
-from .fields import bounded, check
+from .fields import bounded, checked_dataclass
 from .random import RandomStream
 
-CURRICULUM_SHAPES = ("constant", "linear", "one-minus-sqrt")
 
-
-@dataclass
+@checked_dataclass
 class DepthDistribution:
     mean: float = bounded(1)
     spread: float = bounded(0, default=0.5)
-
-    def __post_init__(self):
-        check(self)
 
 
 def sample_recurrence(dist: DepthDistribution, stream: RandomStream) -> int:
@@ -38,16 +34,11 @@ def sample_recurrence(dist: DepthDistribution, stream: RandomStream) -> int:
     return 1 + stream.poisson(float(math.exp(log_rate)))
 
 
-@dataclass
+@checked_dataclass
 class CurriculumSpec:
-    shape: str = "constant"
+    shape: Literal["constant", "linear", "one-minus-sqrt"] = "constant"
     target: int = bounded(1, default=32)
     warmup_steps: int = bounded(0, default=0)
-
-    def __post_init__(self):
-        check(self)
-        if self.shape not in CURRICULUM_SHAPES:
-            raise ContractError(f"unknown curriculum shape {self.shape!r}")
 
 
 def curriculum_mean(spec: CurriculumSpec, step: int) -> int:
@@ -74,15 +65,12 @@ def window_at(ws: WindowSchedule, step: int) -> int:
     return curriculum_mean(ws, step)
 
 
-@dataclass
+@checked_dataclass
 class WsdSpec:
     peak: float = bounded(0)
     warmup_steps: int = bounded(0, default=0)
     stable_steps: int = bounded(0, default=0)
     decay_steps: int = bounded(0, default=0)
-
-    def __post_init__(self):
-        check(self)
 
 
 def lr_at(wsd: WsdSpec, step: int) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Tensor
-from .checkpoint import Checkpoint
+from .checkpoint import Checkpoint, checked_float
 from .errors import ContractError, FormatError, NonFiniteError, PlanError
 from .fields import build, fits
 from .model import (BlockWeights, FixedModel, ModelConfig, assemble,
@@ -145,16 +145,8 @@ def _meta(meta: dict, key: str):
 def _tensor(tensors: dict, name: str, shape: tuple, dtype=None) -> Tensor:
     if name not in tensors:
         raise FormatError(f"checkpoint missing tensor {name}")
-    data = np.asarray(tensors[name])
-    if data.dtype.kind != "f" or data.dtype.itemsize not in (4, 8):
-        raise FormatError(f"checkpoint tensor {name} has dtype {data.dtype}, "
-                          f"not float32/64")
-    if data.shape != shape:
-        raise FormatError(f"checkpoint tensor {name} has shape {data.shape}, "
-                          f"the model config needs {shape}")
-    if not np.isfinite(data).all():
-        raise NonFiniteError(f"checkpoint tensor {name} is not finite")
-    return Tensor(np.asarray(data, dtype=dtype))
+    return Tensor(np.asarray(checked_float(f"checkpoint tensor {name}",
+                                           tensors[name], shape), dtype=dtype))
 
 
 def _build(tensors: dict, cfg: ModelConfig, sections, dtype=None):

@@ -18,7 +18,7 @@ The model kind and plan come from the built model; the config's
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .config import RunConfig, resolved_config_json
 from .checkpoint import Checkpoint
 from .data import step_batch
 from .errors import DivergenceError, FormatError, NonFiniteError
-from .fields import bounded, build, check
+from .fields import bounded, build, checked_dataclass
 from .flops import FlopMeter, param_split
 from .model import (FixedModel, RecurrenceRun, forward_fixed,
                     forward_recurrent, init_fixed, init_recurrent,
@@ -78,15 +78,12 @@ def initial_layout(cfg: RunConfig) -> tuple:
                        else tuple(cfg.plan_tuple))
 
 
-@dataclass
+@checked_dataclass
 class TrainState:
     """A run's progress as its checkpoints record it, for resuming."""
     step: int = bounded(0)
     tokens_seen: int = bounded(0)
     cumulative_flops: float = bounded(0)
-
-    def __post_init__(self):
-        check(self)
 
 
 def _save_checkpoint(path, model, optimizer, state: TrainState):
@@ -94,40 +91,6 @@ def _save_checkpoint(path, model, optimizer, state: TrainState):
     for name, arr in optimizer.state_tensors().items():
         ckpt.tensors[f"optimizer.{name}"] = arr
     ckpt.save(path)
-
-
-def _optimizer_state(ckpt: Checkpoint, params: dict, path) -> dict:
-    """The checkpoint's `optimizer.*` tensors without that prefix, each
-    checked: a step count (`t`, `fb.t`) is one integer >= 0, and any
-    other tensor, keyed `<route>.<parameter>`, is a finite float moment
-    or buffer of its parameter's shape."""
-    shapes = {name: p.data.shape for name, p in params.items()}
-    state = {}
-    for key, arr in ckpt.tensors.items():
-        if not key.startswith("optimizer."):
-            continue
-        name = key[len("optimizer."):]
-        if name.split(".")[-1] == "t":
-            if arr.dtype.kind not in "iu" or arr.shape != (1,) or arr[0] < 0:
-                raise FormatError(f"{path}: optimizer step count {name} is "
-                                  f"{arr!r}, not one integer >= 0")
-        else:
-            suffixes = (name.split(".", i)[-1]
-                        for i in range(1, name.count(".") + 1))
-            param = next((s for s in suffixes if s in shapes), None)
-            if param is None:
-                raise FormatError(f"{path}: optimizer state {name} names no "
-                                  f"parameter")
-            if arr.dtype.kind != "f" or arr.shape != shapes[param]:
-                raise FormatError(
-                    f"{path}: optimizer state {name} has shape {arr.shape} "
-                    f"and dtype {arr.dtype}; parameter {param} has float "
-                    f"shape {shapes[param]}")
-            if not np.isfinite(arr).all():
-                raise NonFiniteError(f"{path}: optimizer state {name} is not "
-                                     f"finite")
-        state[name] = arr
-    return state
 
 
 def _micro_loss_and_grads(model, inputs, targets, run):
@@ -154,12 +117,9 @@ def train(cfg: RunConfig, resume_from: str | None = None) -> dict:
         state = build(TrainState, {k: v for k, v in ckpt.metadata.items()
                                    if k in TrainState.__annotations__},
                       "metadata", FormatError)
-        try:
-            optimizer.load_state_tensors(
-                _optimizer_state(ckpt, model.params(), resume_from))
-        except KeyError as exc:
-            raise FormatError(f"{resume_from}: no optimizer state {exc} to "
-                              f"resume from") from exc
+        optimizer.load_state_tensors(
+            {k[len("optimizer."):]: v for k, v in ckpt.tensors.items()
+             if k.startswith("optimizer.")}, model.params())
     else:
         model = build_initial_model(cfg)
     start_step, tokens_seen = state.step, state.tokens_seen

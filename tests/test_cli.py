@@ -90,7 +90,7 @@ def test_load_config_invalid_values(tmp_path):
         load_config(write_config(tmp_path, micro_batch=3, global_batch=8))
     with pytest.raises(ConfigError, match="model: hidden"):
         load_config(write_config(tmp_path, model=dict(MODEL, hidden=17)))
-    with pytest.raises(ConfigError, match="curriculum: unknown"):
+    with pytest.raises(ConfigError, match="curriculum.shape: 'cubic'"):
         load_config(write_config(tmp_path, curriculum={"shape": "cubic"}))
 
 
@@ -304,6 +304,32 @@ def test_cli_train_runs(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert (tmp_path / "run" / "metrics.csv").exists()
     assert summary["tokens_seen"] == 2 * 8 * 24
+
+
+def test_cli_train_with_unknown_dataset_id_is_config_error(tmp_path, capsys):
+    """A phase naming a dataset no generator makes exits 2 at load, before
+    `config.json` is written, even at weight 0, where no step draws it."""
+    path = write_config(tmp_path, phases=[{
+        "datasets": ["plain", "arithmetik"], "weights": [1.0, 0.0],
+        "start": 0, "end": 2}])
+    assert main(["train", "--config", str(path)]) == EXIT_CONFIG
+    assert "'arithmetik'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_resume_with_unpaired_moment_is_format_error(tmp_path, capsys):
+    """An AdamW checkpoint that lost one `v.<p>` moment exits 5 at resume,
+    not with a KeyError in the first resumed step."""
+    path = write_config(tmp_path, checkpoint_interval=1)
+    assert main(["train", "--config", str(path)]) == EXIT_OK
+    ckpt = Checkpoint.load(tmp_path / "run" / "ckpt_step1.rfck")
+    del ckpt.tensors["optimizer.v.prelude.0.wq"]
+    bad = tmp_path / "bad.rfck"
+    ckpt.save(bad)
+    capsys.readouterr()
+    assert main(["train", "--config", str(path), "--resume",
+                 str(bad)]) == EXIT_FORMAT
+    assert "v.prelude.0.wq" in capsys.readouterr().err
 
 
 def test_cli_flops_matches_library(tmp_path, capsys):

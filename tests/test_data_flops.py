@@ -98,6 +98,8 @@ def test_validate_phases_accepts_partition():
     (lambda p: p[1].pop("end"), "missing-key"),
     (lambda p: p.clear(), "no-phase"),
     (lambda p: p[0].update(datasets=["plain", "copy"]), "length"),
+    (lambda p: p[1].update(datasets=["plain", "arithmetik"]),
+     "unknown-dataset"),
 ])
 def test_validate_phases_rejects_bad_partitions(mutate, field):
     phases = two_phase(100)

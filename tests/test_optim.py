@@ -94,7 +94,7 @@ def test_adamw_state_roundtrip():
     opt.step(params, {"w": np.array([0.1, -0.2])}, lr=0.01)
     opt.step(params, {"w": np.array([0.3, 0.4])}, lr=0.01)
     clone = AdamW()
-    clone.load_state_tensors(opt.state_tensors())
+    clone.load_state_tensors(opt.state_tensors(), params)
     a = make_params({"w": [3.0, -1.0]})
     b = make_params({"w": [3.0, -1.0]})
     g = {"w": np.array([0.5, 0.5])}
@@ -270,7 +270,7 @@ def test_muon_state_roundtrip():
         opt.step(params, {k: rng.normal(size=v.shape)
                           for k, v in arrays.items()}, lr=0.01)
     clone = Muon()
-    clone.load_state_tensors(opt.state_tensors())
+    clone.load_state_tensors(opt.state_tensors(), params)
     a = make_params(arrays)
     b = make_params(arrays)
     g = {k: rng.normal(size=v.shape) for k, v in arrays.items()}

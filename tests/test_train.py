@@ -315,8 +315,12 @@ def muon_ckpt(tmp_path_factory):
     ("fb.v.embed", np.full((257, 16), np.nan), NonFiniteError,
      "fb.v.embed is not finite"),
     ("buf.nowhere", np.zeros(3), FormatError, "buf.nowhere names no parameter"),
+    ("fb.m.adapter", np.zeros((32, 16)), FormatError, "fb.m.adapter"),
+    ("zzz.adapter", np.zeros((32, 16)), FormatError, "zzz.adapter"),
+    ("buf.embed", np.zeros((257, 16)), FormatError, "buf.embed"),
 ], ids=["buffer-shape", "empty-step-count", "moment-shape", "nan-moment",
-        "no-such-parameter"])
+        "no-such-parameter", "fallback-moment-of-a-muon-parameter",
+        "foreign-slot", "buffer-of-a-fallback-parameter"])
 def test_resume_with_malformed_optimizer_state_is_rejected(
         tmp_path, muon_ckpt, key, value, error, needle):
     """The first three used to escape as a raw ValueError or IndexError,
@@ -328,6 +332,34 @@ def test_resume_with_malformed_optimizer_state_is_rejected(
     ckpt.save(bad)
     with pytest.raises(error, match=re.escape(needle)):
         train(tiny_run(tmp_path / "resumed", 2, optimizer="muon"),
+              resume_from=str(bad))
+
+
+@pytest.fixture(scope="module")
+def adamw_ckpt(tmp_path_factory):
+    """The step-1 checkpoint of a 2-step AdamW run: `t`, `m.*` and `v.*`."""
+    out = tmp_path_factory.mktemp("adamw") / "run"
+    train(tiny_run(out, 2, checkpoint_interval=1))
+    return out / "ckpt_step1.rfck"
+
+
+@pytest.mark.parametrize("optimizer,key,needle", [
+    ("adamw", "v.prelude.0.wq", "m.prelude.0.wq and v.prelude.0.wq"),
+    ("adamw", "m.embed", "m.embed and v.embed"),
+    ("muon", "fb.v.embed", "fb.m.embed and fb.v.embed"),
+    ("muon", "fb.t", "'fb.t'"),
+], ids=["adamw-second-moment", "adamw-first-moment", "fallback-moment",
+        "fallback-step-count"])
+def test_resume_with_optimizer_state_missing_is_format_error(
+        tmp_path, request, optimizer, key, needle):
+    """Half a moment pair used to pass the check and raise a raw KeyError
+    in the first resumed step; a missing `fb.t` was named as `'t'`."""
+    ckpt = Checkpoint.load(request.getfixturevalue(f"{optimizer}_ckpt"))
+    del ckpt.tensors[f"optimizer.{key}"]
+    bad = tmp_path / "bad.rfck"
+    ckpt.save(bad)
+    with pytest.raises(FormatError, match=re.escape(needle)):
+        train(tiny_run(tmp_path / "resumed", 2, optimizer=optimizer),
               resume_from=str(bad))
 
 
