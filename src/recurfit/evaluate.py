@@ -12,20 +12,22 @@ Each micro-batch is run once: the recurrence iterates up to the largest
 requested r and every requested r is read out on the way, so a sweep
 costs max(r) recurrent passes per micro-batch, not sum(r). The forwards
 run under `ag.no_record()` and never grow a caller's tape. A non-finite
-loss, such as weights that overflow the forward give, raises.
+loss, such as weights that overflow the forward give, raises; numpy's
+floating-point warnings are off meanwhile, as in `train`.
 
 With two or more micro-batches the work runs in two processes: a forked
 child computes the last floor(m/2) micro-batches while this process
-computes the first ceil(m/2), and sends back per-(micro-batch, r) sums
-through a pipe, which this process adds in micro-batch order, as a
-single process would. So the results, and the r named by a non-finite
-loss, do not depend on the split. The fork happens only where the
-platform has `os.fork`, at least two CPUs are usable
+computes the first ceil(m/2). The child sends the per-(micro-batch, r)
+sums of its whole half through a pipe, or nothing if one of them raised.
+This process adds them in micro-batch order, as a single process would;
+given nothing, it computes that half itself. So the results, and every
+error with the r it names, do not depend on the split. The fork happens
+only where the platform has `os.fork`, at least two CPUs are usable
 (`os.sched_getaffinity`, else `os.cpu_count`) and `blas.one_thread` can
 pin numpy's OpenBLAS to one thread, which it does in both processes for
 the length of the call. Unpinned, OpenBLAS's fork handler would tear
-down its thread pool, and both processes would rebuild and spin pools
-of their own on the same two cores. The eval forward's results do not
+down its thread pool, and both processes would rebuild and spin pools of
+their own on the same two cores. The eval forward's results do not
 depend on the thread count, so no result byte moves. Tracing that wraps
 module functions (as `bench/tracer.py` does) sees only this process's
 half.
@@ -39,6 +41,8 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import autograd as ag
 from . import blas
@@ -94,34 +98,16 @@ def _two_processes(n_batches: int) -> bool:
     return cores >= 2 and blas.threads() is not None
 
 
-def _child(batch_rows, batches, read_fd: int, write_fd: int) -> None:
-    """Body of the forked worker: pickle (rows of each micro-batch in
-    `batches` done, the exception that stopped it or None) to `write_fd`,
-    then leave through `os._exit`, so none of the parent's `finally`
-    blocks or exit handlers run here."""
-    code = 1
-    try:
-        os.close(read_fd)
-        done, error = [], None
-        try:
-            for b in batches:
-                done.append(batch_rows(b))
-        except Exception as exc:  # the parent raises it after `done`
-            error = exc
-        data = pickle.dumps((done, error))
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(data)
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def _add_in_two_processes(batch_rows, add, n_batches: int) -> None:
     """`add(batch_rows(b))` for each micro-batch b in order: this process
     computes the first ceil(m/2), a forked child the rest, with OpenBLAS
-    on one thread in both. The child is always reaped; when this
-    process's half raises, the child is killed and that error wins."""
+    on one thread in both. The child sends the rows of its whole half, or
+    nothing if one of them raised; then this process computes that half
+    itself, and raises as a single process would. The child is always
+    reaped; when this process's half raises, the child is killed and that
+    error wins."""
     split = (n_batches + 1) // 2
+    child_half = range(split, n_batches)
     with blas.one_thread():
         read_fd, write_fd = os.pipe()
         try:
@@ -130,8 +116,14 @@ def _add_in_two_processes(batch_rows, add, n_batches: int) -> None:
             os.close(read_fd)
             os.close(write_fd)
             raise
-        if pid == 0:
-            _child(batch_rows, range(split, n_batches), read_fd, write_fd)
+        if pid == 0:  # leave through os._exit: no parent cleanup runs here
+            try:
+                os.close(read_fd)
+                data = pickle.dumps([batch_rows(b) for b in child_half])
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pipe.write(data)
+            finally:
+                os._exit(0)
         os.close(write_fd)
         try:
             with os.fdopen(read_fd, "rb") as pipe:
@@ -143,14 +135,10 @@ def _add_in_two_processes(batch_rows, add, n_batches: int) -> None:
             raise
         finally:
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if not data:
-        raise RuntimeError(f"eval worker exited with code {status} "
-                           f"without a result")
-    done, error = pickle.loads(data)
-    for rows in done:
+    if status:
+        raise RuntimeError(f"eval worker exited with code {status}")
+    for rows in pickle.loads(data) if data else map(batch_rows, child_half):
         add(rows)
-    if error is not None:
-        raise error
 
 
 def _loss_and_accuracy(model, dataset_id: str, recurrences, s0_seed: int,
@@ -193,7 +181,7 @@ def _loss_and_accuracy(model, dataset_id: str, recurrences, s0_seed: int,
             acc[2] += hits
             acc[3] += answers
 
-    with ag.no_record():
+    with ag.no_record(), np.errstate(all="ignore"):
         if _two_processes(n_batches):
             _add_in_two_processes(batch_rows, add, n_batches)
         else:

@@ -10,7 +10,7 @@ before them run untaped, since no gradient reaches them. For evaluation,
 count and reads out logits at each requested count on the way.
 
 This module owns the parameter layout: `block_shapes(cfg)` and
-`outer_shapes(cfg)` give every tensor's name and shape, `assemble` builds
+`outer_shapes(cfg)` give every tensor's name and shape, `make` builds
 a model from them, `segments()` names its block sections, and `params()`
 lists every tensor in checkpoint order (embed, sections with the adapter
 before the recurrent block, final_norm, unembed).
@@ -341,24 +341,34 @@ def recurrence_sweep(model, tokens, recurrences, s0_stream: RandomStream):
 # initialization
 
 
-def assemble(cfg: ModelConfig, outer: dict, blocks: list):
-    """FixedModel from one block list, or RecurrentModel from three
-    (prelude, recurrent, coda); `outer` maps `outer_shapes` names to
-    tensors, the adapter only for a recurrent model."""
-    embed, final_norm = outer["embed"], outer["final_norm"]
-    unembed = outer.get("unembed")
+def make(cfg: ModelConfig, sections: list, tensor):
+    """FixedModel from one section, or RecurrentModel from three (prelude,
+    recurrent, coda); a section lists its blocks' tensor name prefixes.
+    `tensor(name, shape)` gives each tensor of the layout, called in draw
+    order: embed, the adapter (recurrent only), final_norm, each section's
+    blocks in `block_shapes` order, unembed (untied only)."""
+    shapes = outer_shapes(cfg)
+    embed = tensor("embed", shapes["embed"])
+    adapter = (tensor("adapter", shapes["adapter"]) if len(sections) == 3
+               else None)
+    final_norm = tensor("final_norm", shapes["final_norm"])
+    blocks = [[BlockWeights(**{f: tensor(f"{prefix}.{f}", shape)
+                               for f, shape in block_shapes(cfg).items()})
+               for prefix in prefixes] for prefixes in sections]
+    unembed = (tensor("unembed", shapes["unembed"]) if "unembed" in shapes
+               else None)
     if len(blocks) == 1:
         return FixedModel(embed, blocks[0], final_norm, unembed, cfg)
     prelude, recurrent, coda = blocks
-    return RecurrentModel(embed, prelude, outer["adapter"], recurrent, coda,
+    return RecurrentModel(embed, prelude, adapter, recurrent, coda,
                           final_norm, unembed, cfg)
 
 
 def _init_model(cfg: ModelConfig, counts: tuple, stream: RandomStream,
                 emb_scale: float, dtype):
-    """Depth-scaled normal init drawn in layout order: embed, the adapter
-    (three counts: a recurrent model), one block list per count, unembed.
-    Gains start at one; wo, w_down and the adapter shrink with depth."""
+    """Depth-scaled normal init drawn in `make`'s order, its std chosen by
+    the last component of each name. Gains start at one; wo, w_down and
+    the adapter shrink with depth."""
     if emb_scale <= 0:
         raise ContractError("emb_scale must be > 0")
     if min(counts) < 0:
@@ -371,18 +381,12 @@ def _init_model(cfg: ModelConfig, counts: tuple, stream: RandomStream,
     def draw(name: str, shape: tuple) -> Tensor:
         if len(shape) == 1:
             return Tensor(np.ones(shape, dtype=dtype))
-        return Tensor(stream.normal(shape, 0.0, std.get(name, base),
+        return Tensor(stream.normal(shape, 0.0,
+                                    std.get(name.rsplit(".", 1)[-1], base),
                                     dtype=dtype))
 
-    shapes = outer_shapes(cfg)
-    outer = {name: draw(name, shape) for name, shape in shapes.items()
-             if name != "unembed" and (name != "adapter" or len(counts) == 3)}
-    blocks = [[BlockWeights(**{name: draw(name, shape)
-                               for name, shape in block_shapes(cfg).items()})
-               for _ in range(n)] for n in counts]
-    if "unembed" in shapes:
-        outer["unembed"] = draw("unembed", shapes["unembed"])
-    return assemble(cfg, outer, blocks)
+    return make(cfg, [[f"{j}.{i}" for i in range(n)]
+                      for j, n in enumerate(counts)], draw)
 
 
 def init_fixed(cfg: ModelConfig, depth: int, stream: RandomStream,

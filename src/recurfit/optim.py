@@ -10,6 +10,8 @@ tensor is a FormatError (a non-finite one a NonFiniteError).
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .checkpoint import checked_float
@@ -112,7 +114,8 @@ class AdamW:
     def load_state_tensors(self, tensors: dict, params: dict,
                            prefix: str = "") -> None:
         """Load what `state_tensors` wrote, each key under `prefix`,
-        checked against `params`; any other tensor is a FormatError."""
+        checked against `params`, with both moments of every parameter
+        after a step; any other tensor is a FormatError."""
         rest = dict(tensors)
         t = rest.pop(f"{prefix}t", None)
         if t is None:
@@ -125,6 +128,9 @@ class AdamW:
         for name in sorted(m.keys() ^ v.keys()):
             raise FormatError(f"optimizer state has only one of {prefix}m."
                               f"{name} and {prefix}v.{name}")
+        for name in sorted(params.keys() - m.keys() if t[0] > 0 else ()):
+            raise FormatError(f"optimizer state at step {t[0]} lacks "
+                              f"{prefix}m.{name} and {prefix}v.{name}")
         if rest:
             raise FormatError(f"optimizer state {min(rest)} is no slot of "
                               f"this optimizer")
@@ -200,13 +206,19 @@ class Muon:
 
     def load_state_tensors(self, tensors: dict, params: dict) -> None:
         """Load what `state_tensors` wrote: buffers of the parameters Muon
-        updates, then fallback state of the others and no other tensor."""
+        updates (all of them after a step), then fallback state of the
+        others and no other tensor."""
         rest = dict(tensors)
         fallback = _fallback_params(params)
         buffers = _pop_slot(rest, "buf.", {n: p for n, p in params.items()
                                            if n not in fallback})
-        self.fallback.load_state_tensors(rest, fallback, "fb.")
-        self.buffers = buffers
+        fb = copy.copy(self.fallback)
+        fb.load_state_tensors(rest, fallback, "fb.")
+        for name in sorted(params.keys() - fallback.keys() - buffers.keys()
+                           if fb.t > 0 else ()):
+            raise FormatError(f"optimizer state at step {fb.t} lacks "
+                              f"buf.{name}")
+        self.fallback, self.buffers = fb, buffers
 
 
 def build_optimizer(name: str, hyper: dict | None = None) -> AdamW | Muon:

@@ -9,16 +9,17 @@ dropped. The adapter defaults to an identity-pass init (zero on the
 state half, identity on the injected half) so the fresh recurrent model
 at r=1 behaves like the pruned donor.
 
-Surgery, pruning and checkpoint loading read tensors through `_build`
-and write through `model_to_checkpoint`, so tensor names and shapes
-follow the model's layout tables; a missing metadata key, a missing
-tensor or a tensor of the wrong shape is a `FormatError`, and one
-holding NaN/Inf a `NonFiniteError`.
+Surgery, pruning and checkpoint loading build models with `model.make`
+over `_tensor` and write through `model_to_checkpoint`, so tensor names
+and shapes follow the model's layout tables; a missing metadata key, a
+missing tensor or a tensor of the wrong shape is a `FormatError`, and
+one holding NaN/Inf a `NonFiniteError`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,9 +29,8 @@ from .autograd import Tensor
 from .checkpoint import Checkpoint, checked_float
 from .errors import ContractError, FormatError, NonFiniteError, PlanError
 from .fields import build, fits
-from .model import (BlockWeights, FixedModel, ModelConfig, assemble,
-                    block_shapes, forward_fixed_hidden, outer_shapes,
-                    section_counts)
+from .model import (FixedModel, ModelConfig, block_shapes,
+                    forward_fixed_hidden, make, outer_shapes, section_counts)
 from .random import RandomStream
 
 
@@ -149,20 +149,6 @@ def _tensor(tensors: dict, name: str, shape: tuple, dtype=None) -> Tensor:
                                            tensors[name], shape), dtype=dtype))
 
 
-def _build(tensors: dict, cfg: ModelConfig, sections, dtype=None):
-    """FixedModel from one section, or RecurrentModel from three (prelude,
-    recurrent, coda) and the adapter; a section lists its blocks' tensor
-    name prefixes. Every tensor is checked against the layout tables."""
-    outer = {name: _tensor(tensors, name, shape, dtype)
-             for name, shape in outer_shapes(cfg).items()
-             if name != "adapter" or len(sections) == 3}
-    blocks = [[BlockWeights(**{f: _tensor(tensors, f"{prefix}.{f}", shape,
-                                          dtype)
-                               for f, shape in block_shapes(cfg).items()})
-               for prefix in prefixes] for prefixes in sections]
-    return assemble(cfg, outer, blocks)
-
-
 def _layer_prefixes(*layer_lists) -> list:
     return [[f"layers.{i}" for i in layers] for layers in layer_lists]
 
@@ -196,7 +182,7 @@ def model_from_checkpoint(ckpt: Checkpoint, dtype=None):
         dtype = _tensor(t, "embed", outer_shapes(cfg)["embed"]).dtype
     sections = [[f"{name}.{i}" for i in range(n)] for name, n in
                 zip(_SECTIONS[ckpt.metadata["kind"]], counts)]
-    return _build(t, cfg, sections, dtype)
+    return make(cfg, sections, functools.partial(_tensor, t, dtype=dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +237,8 @@ def apply_surgery(donor: Checkpoint, plan: SurgeryPlan,
                               stream, noise_std)
     sections = _layer_prefixes(plan.prelude_layers, plan.recurrent_layers,
                                plan.coda_layers)
-    model = _build({**donor.tensors, "adapter": adapter}, cfg, sections)
+    model = make(cfg, sections, functools.partial(
+        _tensor, {**donor.tensors, "adapter": adapter}))
     return model_to_checkpoint(model, extra_metadata={
         "plan": plan.to_dict(),
         "surgery": {"adapter_init": adapter_init, "noise_std": noise_std}})
@@ -260,8 +247,9 @@ def apply_surgery(donor: Checkpoint, plan: SurgeryPlan,
 def pruned_donor(donor: Checkpoint, plan: SurgeryPlan) -> Checkpoint:
     """Fixed-depth checkpoint keeping only the plan's layers, in plan order."""
     kept = plan.prelude_layers + plan.recurrent_layers + plan.coda_layers
-    return model_to_checkpoint(_build(donor.tensors, donor_layout(donor)[0],
-                                      _layer_prefixes(kept)))
+    return model_to_checkpoint(make(donor_layout(donor)[0],
+                                    _layer_prefixes(kept),
+                                    functools.partial(_tensor, donor.tensors)))
 
 
 def block_influence_scores(model: FixedModel, calibration_tokens) -> list:
@@ -270,13 +258,14 @@ def block_influence_scores(model: FixedModel, calibration_tokens) -> list:
     Higher scores mark layers whose removal changes the residual stream
     more; an identity block (zero projections) scores 0.
     """
-    pairs = forward_fixed_hidden(model, calibration_tokens)
-    scores = []
-    for x_in, x_out in pairs:
-        num = (x_in * x_out).sum(axis=-1)
-        denom = (np.linalg.norm(x_in, axis=-1) *
-                 np.linalg.norm(x_out, axis=-1) + 1e-12)
-        scores.append(float(1.0 - np.mean(num / denom)))
+    with np.errstate(all="ignore"):
+        pairs = forward_fixed_hidden(model, calibration_tokens)
+        scores = []
+        for x_in, x_out in pairs:
+            num = (x_in * x_out).sum(axis=-1)
+            denom = (np.linalg.norm(x_in, axis=-1) *
+                     np.linalg.norm(x_out, axis=-1) + 1e-12)
+            scores.append(float(1.0 - np.mean(num / denom)))
     if not np.isfinite(scores).all():
         raise NonFiniteError(f"block influence scores {scores} are not finite")
     return scores

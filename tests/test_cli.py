@@ -622,6 +622,27 @@ def test_readout_of_overflowing_forward_is_nonfinite(tmp_path, donor_ckpt,
     assert "scores" in capsys.readouterr().err
 
 
+def test_overflowing_readout_exits_4_under_warnings_as_errors(tmp_path,
+                                                             donor_ckpt):
+    """Under `python -W error` numpy's overflow warnings in these forwards
+    used to escape as a RuntimeWarning (exit 1)."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    (tmp_path / "eval").mkdir()
+    (tmp_path / "scores").mkdir()
+    unembed = _overflow_checkpoint(tmp_path / "eval", donor_ckpt, "unembed")
+    w_down = _overflow_checkpoint(tmp_path / "scores", donor_ckpt,
+                                  "layers.3.w_down")
+    for args in (["eval", "--checkpoint", str(unembed), "--recurrences", "1",
+                  "--items", "16"],
+                 ["layer-scores", "--checkpoint", str(w_down), "--items", "2",
+                  "--context", "16"]):
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "recurfit.cli", *args],
+            env=env, capture_output=True, text=True)
+        assert result.returncode == EXIT_DIVERGENCE, result.stderr
+
+
 def test_module_entry_point_exit_status(tmp_path):
     """`python -m recurfit.cli` exits with the code `main` returns."""
     env = dict(os.environ,

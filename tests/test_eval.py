@@ -292,6 +292,26 @@ def test_child_error_is_raised_with_its_type_and_message(monkeypatch, forks):
 
 
 @forking
+def test_child_failure_alone_gives_the_serial_rows(monkeypatch, forks):
+    """A readout that raises only in the child: the child sends nothing,
+    and this process computes the child's half itself."""
+    parent = os.getpid()
+
+    def fail_in_child(r, logits):
+        if os.getpid() != parent:
+            raise ContractError(f"child readout at r={r}")
+        return logits
+
+    model = fresh_recurrent()
+    run = dict(recurrences=(1, 2), n_items=16)
+    _patched_sweep(monkeypatch, {(1, 2)}, fail_in_child)
+    forked = eval_sweep(model, "plain", **run)
+    assert forks == [1] and _no_child_left()
+    _serial(monkeypatch)
+    assert forked.rows == eval_sweep(model, "plain", **run).rows
+
+
+@forking
 def test_child_that_dies_without_a_result_names_its_exit_status(monkeypatch,
                                                                 forks):
     _patched_sweep(monkeypatch, {(1, 1)}, lambda r, logits: os._exit(7))

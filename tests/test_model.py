@@ -10,9 +10,9 @@ from recurfit.autograd import Tape, Tensor
 from recurfit.errors import ContractError, InputError
 from recurfit.model import (ModelConfig, RecurrenceRun, decoder_block,
                             forward_fixed, forward_recurrent, init_fixed,
-                            init_recurrent, prelude_forward, recurrence_sweep,
-                            recurrent_step, sample_initial_state,
-                            _unembed_logits)
+                            init_recurrent, make, prelude_forward,
+                            recurrence_sweep, recurrent_step,
+                            sample_initial_state, _unembed_logits)
 from recurfit.random import RandomStream
 
 from conftest import grads_by_name
@@ -371,6 +371,34 @@ def test_init_scaled_deterministic_and_emb_scale(tiny_cfg):
     assert abs(m.embed.data.std() - base) < 0.05 * base
     m2 = init_fixed(wide, 2, RandomStream(4, "init"), emb_scale=3.0)
     assert abs(m2.embed.data.std() - 3 * base) < 0.05 * 3 * base
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+@pytest.mark.parametrize("sections", [
+    [["layers.0", "layers.2"]],
+    [["prelude.0"], ["recurrent.0", "recurrent.1"], ["coda.0"]]],
+    ids=["fixed", "recurrent"])
+def test_make_asks_for_each_tensor_in_draw_order(tiny_cfg, sections, tied):
+    """Scratch init draws each tensor in the order `make` asks for it, so
+    this order fixes the bytes of every seeded init."""
+    cfg = dataclasses.replace(tiny_cfg, qk_norm=True, tie_embeddings=tied)
+    calls = {}
+
+    def tensor(name, shape):
+        calls[name] = Tensor(np.zeros(shape))
+        return calls[name]
+
+    model = make(cfg, sections, tensor)
+    fields = ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down", "g_attn",
+              "g_mlp", "q_gain", "k_gain")
+    assert list(calls) == (
+        ["embed"] + ["adapter"] * (len(sections) == 3) + ["final_norm"]
+        + [f"{prefix}.{f}" for prefixes in sections for prefix in prefixes
+           for f in fields] + ["unembed"] * (not tied))
+    assert type(model).__name__ == ("FixedModel" if len(sections) == 1
+                                    else "RecurrentModel")
+    assert ({id(t) for t in model.params().values()}
+            == {id(t) for t in calls.values()})
 
 
 def test_fresh_recurrent_model_stable_at_depth_32():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from recurfit.autograd import Tensor
-from recurfit.errors import ContractError, NonFiniteError
+from recurfit.errors import ContractError, FormatError, NonFiniteError
 from recurfit.optim import (AdamW, AdamWStar, Muon, build_optimizer,
                             clip_global_norm, global_grad_norm, newton_schulz5)
 
@@ -278,6 +278,23 @@ def test_muon_state_roundtrip():
     clone.step(b, g, lr=0.01)
     for name in arrays:
         assert a[name].data.tobytes() == b[name].data.tobytes()
+
+
+def test_state_needs_every_parameter_only_after_a_step():
+    """A run whose steps were all non-finite saves `t` = 0 and no moments;
+    after a step, every parameter must have its state, and a load that
+    fails changes nothing."""
+    params = make_params({"w": np.zeros((2, 2)), "g": np.zeros(2)})
+    AdamW().load_state_tensors({"t": np.array([0])}, params)
+    Muon().load_state_tensors({"fb.t": np.array([0])}, params)
+    with pytest.raises(FormatError, match="at step 1 lacks m.g and v.g"):
+        AdamW().load_state_tensors({"t": np.array([1])}, params)
+    fallback = {"fb.t": np.array([2]), "fb.m.g": np.zeros(2),
+                "fb.v.g": np.zeros(2)}
+    muon = Muon()
+    with pytest.raises(FormatError, match="at step 2 lacks buf.w"):
+        muon.load_state_tensors(fallback, params)
+    assert muon.fallback.t == 0 and not muon.fallback.m
 
 
 # ---------------------------------------------------------------------------

@@ -343,19 +343,27 @@ def adamw_ckpt(tmp_path_factory):
     return out / "ckpt_step1.rfck"
 
 
-@pytest.mark.parametrize("optimizer,key,needle", [
-    ("adamw", "v.prelude.0.wq", "m.prelude.0.wq and v.prelude.0.wq"),
-    ("adamw", "m.embed", "m.embed and v.embed"),
-    ("muon", "fb.v.embed", "fb.m.embed and fb.v.embed"),
-    ("muon", "fb.t", "'fb.t'"),
+@pytest.mark.parametrize("optimizer,keys,needle", [
+    ("adamw", ("v.prelude.0.wq",), "m.prelude.0.wq and v.prelude.0.wq"),
+    ("adamw", ("m.embed",), "m.embed and v.embed"),
+    ("muon", ("fb.v.embed",), "fb.m.embed and fb.v.embed"),
+    ("muon", ("fb.t",), "'fb.t'"),
+    ("adamw", ("m.prelude.0.wq", "v.prelude.0.wq"),
+     "lacks m.prelude.0.wq and v.prelude.0.wq"),
+    ("muon", ("buf.prelude.0.wq",), "lacks buf.prelude.0.wq"),
+    ("muon", ("fb.m.embed", "fb.v.embed"), "lacks fb.m.embed and fb.v.embed"),
 ], ids=["adamw-second-moment", "adamw-first-moment", "fallback-moment",
-        "fallback-step-count"])
+        "fallback-step-count", "adamw-moment-pair", "muon-buffer",
+        "fallback-moment-pair"])
 def test_resume_with_optimizer_state_missing_is_format_error(
-        tmp_path, request, optimizer, key, needle):
+        tmp_path, request, optimizer, keys, needle):
     """Half a moment pair used to pass the check and raise a raw KeyError
-    in the first resumed step; a missing `fb.t` was named as `'t'`."""
+    in the first resumed step; a missing `fb.t` was named as `'t'`. A
+    whole pair or a buffer missing after a step used to resume silently,
+    from zero state, to different bytes."""
     ckpt = Checkpoint.load(request.getfixturevalue(f"{optimizer}_ckpt"))
-    del ckpt.tensors[f"optimizer.{key}"]
+    for key in keys:
+        del ckpt.tensors[f"optimizer.{key}"]
     bad = tmp_path / "bad.rfck"
     ckpt.save(bad)
     with pytest.raises(FormatError, match=re.escape(needle)):
