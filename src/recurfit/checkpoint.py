@@ -4,7 +4,10 @@ Layout: 4-byte magic ``RFCK``, u32 format version, u64 header length,
 UTF-8 JSON header, then a raw little-endian payload. The header carries
 run metadata plus a tensor directory of (shape, dtype, offset, nbytes)
 entries with offsets relative to the payload start. Round trips are
-bit-exact, and a save replaces the target file only once it is complete.
+bit-exact. A save writes a temp file beside the target, syncs it to
+disk, renames it over the target and syncs the directory, so the path
+names either the previous complete file or the new one, also after a
+crash or power loss.
 """
 
 from __future__ import annotations
@@ -64,7 +67,14 @@ class Checkpoint:
         try:
             with open(tmp, "wb") as f:
                 f.writelines([preamble, header, *chunks])
+                f.flush()
+                os.fsync(f.fileno())
             os.replace(tmp, path)
+            directory = os.open(tmp.parent, os.O_RDONLY)
+            try:
+                os.fsync(directory)
+            finally:
+                os.close(directory)
         finally:
             tmp.unlink(missing_ok=True)
 

@@ -175,8 +175,9 @@ def _named_params(model) -> dict:
 
 @functools.cache
 def rope_tables(n: int, head_dim: int, base: float, dtype) -> tuple:
-    """(n, 1, head_dim) tables [cos, cos] and [-sin, sin] for
-    `autograd.rope_rotate`, broadcast over the heads of a projection."""
+    """(n, 1, head_dim) tables [cos, cos] and [-sin, sin] for RoPE in
+    `autograd.causal_attn` (see `autograd.rope_rotate`), broadcast over
+    the heads of a projection."""
     half = head_dim // 2
     inv_freq = base ** (-np.arange(half, dtype=np.float64) / half)
     angles = np.outer(np.arange(n), inv_freq)
@@ -188,38 +189,34 @@ def rope_tables(n: int, head_dim: int, base: float, dtype) -> tuple:
 def decoder_block(x: Tensor, bw: BlockWeights, cfg: ModelConfig) -> Tensor:
     """One pre-norm (or post-norm) residual block on (B, n, h) input.
 
-    QK-norm and RoPE act on the contiguous (B, n, H*d) projections; the
-    heads are split off after them, as strided views."""
+    Each sublayer is one fused op: `autograd.causal_attn` (the q/k/v
+    projections, QK-norm, RoPE, attention and the wo projection) and
+    `autograd.silu_glu`, each taking its pre-norm as well. A pre-norm
+    block records 4 tape nodes, a post-norm block 6 (its two norms and
+    residual adds)."""
     n = x.shape[-2]
     if n > cfg.context_length:
         raise ContractError(f"sequence length {n} exceeds context "
                             f"{cfg.context_length}")
-    cos, sin = rope_tables(n, cfg.head_dim, cfg.rope_base, x.dtype)
+    rope = rope_tables(n, cfg.head_dim, cfg.rope_base, x.dtype)
+    qk_gains = (bw.q_gain, bw.k_gain) if cfg.qk_norm else None
+    eps = cfg.norm_eps
 
-    def rotated_heads(a_in, w, n_heads, gain):
-        proj = ag.matmul(a_in, w)
-        if cfg.qk_norm:
-            proj = ag.rms_norm(proj, ag.reshape(gain, (n_heads, cfg.head_dim)),
-                               cfg.norm_eps)
-        return ag.split_heads(ag.rope_rotate(proj, cos, sin), n_heads,
-                              cfg.head_dim)
+    def attention(a_in, norm=None):
+        return ag.causal_attn(a_in, bw.wq, bw.wk, bw.wv, bw.wo, rope,
+                              1.0 / np.sqrt(cfg.head_dim), norm=norm,
+                              qk_gains=qk_gains, eps=eps)
 
-    def attention(a_in):
-        q = rotated_heads(a_in, bw.wq, cfg.n_query_heads, bw.q_gain)
-        k = rotated_heads(a_in, bw.wk, cfg.n_kv_heads, bw.k_gain)
-        v = ag.split_heads(ag.matmul(a_in, bw.wv), cfg.n_kv_heads, cfg.head_dim)
-        out = ag.causal_attn(q, k, v, 1.0 / np.sqrt(cfg.head_dim))
-        return ag.matmul(ag.merge_heads(out), bw.wo)
-
-    def mlp(m_in):
-        return ag.silu_glu(m_in, bw.w_gate, bw.w_up, bw.w_down)
+    def mlp(m_in, norm=None):
+        return ag.silu_glu(m_in, bw.w_gate, bw.w_up, bw.w_down, norm=norm,
+                           eps=eps)
 
     if cfg.post_norm:
-        x = ag.add(x, ag.rms_norm(attention(x), bw.g_attn, cfg.norm_eps))
-        x = ag.add(x, ag.rms_norm(mlp(x), bw.g_mlp, cfg.norm_eps))
+        x = ag.add(x, ag.rms_norm(attention(x), bw.g_attn, eps))
+        x = ag.add(x, ag.rms_norm(mlp(x), bw.g_mlp, eps))
     else:
-        x = ag.add(x, attention(ag.rms_norm(x, bw.g_attn, cfg.norm_eps)))
-        x = ag.add(x, mlp(ag.rms_norm(x, bw.g_mlp, cfg.norm_eps)))
+        x = ag.add(x, attention(x, bw.g_attn))
+        x = ag.add(x, mlp(x, bw.g_mlp))
     return x
 
 

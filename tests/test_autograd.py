@@ -239,13 +239,28 @@ def _attn_inputs(groups, n, dtype, seed=0, kv_heads=2, d=4, b=2):
     return q, k, v
 
 
+def attention_core(q, k, v, att_scale):
+    """The private (q, k, v) attention core of `causal_attn` as a taped op
+    on head splits, the attention node of the unfused sublayer chain:
+    backward rebuilds the probabilities from the saved row statistics."""
+    qd, kd, vd = q.data, k.data, v.data
+    merged, _, stats = ag._attention(qd, kd, vd, att_scale)
+
+    def bwd(g):
+        attn = ag._attention(qd, kd, vd, att_scale, stats)[1]
+        return ag._attention_grads(g, attn, qd, kd, vd, att_scale)
+
+    return ag._make(ag._heads(merged, qd.shape[1], qd.shape[-1]), (q, k, v),
+                    bwd)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("n", [1, 7, 16, 17, 64])
 @pytest.mark.parametrize("groups", [1, 2, 4])
 def test_causal_attn_matches_copy_and_mask_chain_bitwise(groups, n, dtype):
-    """Taped and untaped, and for float32 inputs promoted to float64 by an
-    np.float64 scale (as the decoder block passes it) as well as scaled
-    in place by a Python float."""
+    """The attention core, taped and untaped, and for float32 inputs
+    promoted to float64 by an np.float64 scale (as the decoder block
+    passes it) as well as scaled in place by a Python float."""
     q, k, v = _attn_inputs(groups, n, dtype)
     tq, tk, tv = Tensor(q), Tensor(k), Tensor(v)
     for att_scale in (1.0 / np.sqrt(np.float64(q.shape[-1])), 0.375):
@@ -255,8 +270,8 @@ def test_causal_attn_matches_copy_and_mask_chain_bitwise(groups, n, dtype):
         # strided as merge_heads' backward hands it over
         g_out = g_out.transpose(0, 2, 1, 3).copy().transpose(0, 2, 1, 3)
         with Tape():
-            out = ag.causal_attn(tq, tk, tv, att_scale)
-        untaped = [ag.causal_attn(tq, tk, tv, att_scale).data
+            out = attention_core(tq, tk, tv, att_scale)
+        untaped = [attention_core(tq, tk, tv, att_scale).data
                    for _ in range(2)]
         ref_out, ref_gq, ref_gk, ref_gv = _reference_attn(q, k, v, att_scale,
                                                           g_out)
@@ -270,21 +285,106 @@ def test_causal_attn_matches_copy_and_mask_chain_bitwise(groups, n, dtype):
 
 
 def test_causal_attn_untaped_call_after_a_nan_row_is_unaffected():
-    """A NaN score row must not leave NaN in the next untaped call's
-    masked entries."""
+    """A NaN score row must not leave NaN in the next call's masked
+    entries."""
     q, k, v = _attn_inputs(2, 17, np.float64)
-    clean = ag.causal_attn(Tensor(q), Tensor(k), Tensor(v), 0.5).data
+    clean = ag._attention(q, k, v, 0.5)[0]
     poisoned = q.copy()
     poisoned[0, 0, 3, 0] = np.nan
-    hit = ag.causal_attn(Tensor(poisoned), Tensor(k), Tensor(v), 0.5).data
-    assert np.isnan(hit[0, 0, 3]).all() and np.isfinite(hit[0, 0, 4]).all()
-    again = ag.causal_attn(Tensor(q), Tensor(k), Tensor(v), 0.5).data
+    hit = ag._attention(poisoned, k, v, 0.5)[0]
+    assert np.isnan(hit[0, 3, :4]).all() and np.isfinite(hit[0, 4]).all()
+    again = ag._attention(q, k, v, 0.5)[0]
     assert again.tobytes() == clean.tobytes()
+
+
+def _sublayer(variant, shape, groups=2, dtypes=("float64", "float64"),
+              seed=12):
+    """Leaves and keyword arguments of an attention sublayer with 4 query
+    heads over 4 / groups kv heads on x of `shape`: (x, wq, wk, wv, wo,
+    norm gain, q_gain, k_gain), the (cos, sin) tables, and whether the
+    variant normalises the input before attention and q and k after
+    their projections. x takes the first dtype, the weights the second."""
+    b, n, h = shape
+    d, kv = h // 4, (4 // groups) * (h // 4)
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal(shape).astype(dtypes[0]))
+    weights = [Tensor((rng.standard_normal(s) / np.sqrt(h)).astype(dtypes[1]))
+               for s in ((h, h), (h, kv), (h, kv), (h, h))]
+    gains = [Tensor((1.0 + 0.1 * rng.standard_normal(width)).astype(dtypes[1]))
+             for width in (h, h, kv)]
+    rope = rope_tables(n, d, 10000.0, x.dtype)
+    return ([x, *weights, *gains], rope, variant != "post_norm",
+            variant == "qk_norm")
+
+
+def _fused_sublayer(leaves, rope, pre_norm, qk_norm):
+    x, wq, wk, wv, wo, norm, q_gain, k_gain = leaves
+    return ag.causal_attn(x, wq, wk, wv, wo, rope,
+                          1.0 / np.sqrt(rope[0].shape[-1]),
+                          norm=norm if pre_norm else None,
+                          qk_gains=(q_gain, k_gain) if qk_norm else None,
+                          eps=1e-5)
+
+
+def _unfused_sublayer(leaves, rope, pre_norm, qk_norm):
+    """The attention sublayer as the chain of single ops it fuses."""
+    x, wq, wk, wv, wo, norm, q_gain, k_gain = leaves
+    d = rope[0].shape[-1]
+    a = ag.rms_norm(x, norm, 1e-5) if pre_norm else x
+
+    def rotated_heads(w, gain):
+        n_heads = w.shape[-1] // d
+        proj = ag.matmul(a, w)
+        if qk_norm:
+            proj = ag.rms_norm(proj, ag.reshape(gain, (n_heads, d)), 1e-5)
+        return ag.split_heads(ag.rope_rotate(proj, *rope), n_heads, d)
+
+    q, k = rotated_heads(wq, q_gain), rotated_heads(wk, k_gain)
+    v = ag.split_heads(ag.matmul(a, wv), wv.shape[-1] // d, d)
+    out = attention_core(q, k, v, 1.0 / np.sqrt(d))
+    return ag.matmul(ag.merge_heads(out), wo)
+
+
+@pytest.mark.parametrize("variant", ["pre_norm", "post_norm", "qk_norm"])
+@pytest.mark.parametrize("groups", [1, 2])
+@pytest.mark.parametrize("dtypes", [
+    ("float64", "float64"), ("float64", "float32"), ("float32", "float32")],
+    ids=["float64", "float32-weights", "float32-input"])
+@pytest.mark.parametrize("shape", [(8, 64, 64), (3, 7, 16)])
+def test_attention_sublayer_matches_the_unfused_chain_bitwise(
+        shape, dtypes, groups, variant):
+    """The fused sublayer's output and every gradient (x, the four
+    projections, the norm gain, QK-norm's gains) keep the bytes and
+    dtypes of the unfused chain: for float64, for float32 weights on
+    float64 activations (the mix a float32 model computes in), and for a
+    float32 input (the first block of a float32 model, whose np.float64
+    attention scale promotes the scores). x also feeds the residual add,
+    and a post-norm variant normalises the output, as the decoder block
+    does, so the order in which the tape sums x's gradient shows."""
+    leaves, rope, pre_norm, qk_norm = _sublayer(variant, shape, groups,
+                                                dtypes)
+    x, norm = leaves[0], leaves[5]
+    g = Tensor(np.random.default_rng(3).standard_normal(shape))
+    runs = []
+    for sublayer in (_fused_sublayer, _unfused_sublayer):
+        with Tape() as tape:
+            y = sublayer(leaves, rope, pre_norm, qk_norm)
+            if not pre_norm:
+                y = ag.rms_norm(y, norm, 1e-5)
+            out = ag.add(x, y)
+            grads = ag.backward(ag.tsum(ag.mul(out, g)), tape)
+        used = leaves if qk_norm else leaves[:6]
+        assert set(grads) == {*used, g}
+        runs.append([out.data] + [grads[leaf] for leaf in used])
+    for got, want in zip(*runs):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("op", ["rms_norm-row", "rms_norm-heads", "silu_glu",
-                                "rope_rotate"])
+                                "silu_glu-norm", "rope_rotate", "causal_attn",
+                                "causal_attn-qk_norm"])
 def test_fused_op_gives_the_same_bytes_on_and_off_the_tape(op, dtype):
     """An op allocates the same way whether it records or not, so two
     consecutive untaped calls give the taped output's bytes."""
@@ -296,10 +396,16 @@ def test_fused_op_gives_the_same_bytes_on_and_off_the_tape(op, dtype):
     row_gain = Tensor((1.0 + 0.1 * rng.standard_normal(16)).astype(dtype))
     head_gain = Tensor((1.0 + 0.1 * rng.standard_normal((2, 8))).astype(dtype))
     cos, sin = rope_tables(9, 8, 10000.0, dtype)
+    pre, qk = (_sublayer(variant, (2, 9, 16), dtypes=(dtype, dtype))
+               for variant in ("pre_norm", "qk_norm"))
     call = {"rms_norm-row": lambda: ag.rms_norm(x, row_gain, 1e-5),
             "rms_norm-heads": lambda: ag.rms_norm(x, head_gain, 1e-5),
             "silu_glu": lambda: ag.silu_glu(x, w_gate, w_up, w_down),
-            "rope_rotate": lambda: ag.rope_rotate(x, cos, sin)}[op]
+            "silu_glu-norm": lambda: ag.silu_glu(x, w_gate, w_up, w_down,
+                                                 norm=row_gain, eps=1e-5),
+            "rope_rotate": lambda: ag.rope_rotate(x, cos, sin),
+            "causal_attn": lambda: _fused_sublayer(*pre),
+            "causal_attn-qk_norm": lambda: _fused_sublayer(*qk)}[op]
     with Tape():
         taped = call()
         with ag.no_record():
@@ -307,8 +413,11 @@ def test_fused_op_gives_the_same_bytes_on_and_off_the_tape(op, dtype):
     assert taped.node is not None
     for out in untaped:
         assert out.node is None
-        assert out.dtype == taped.dtype == dtype
+        # the np.float64 attention scale promotes float32 scores
+        assert out.dtype == taped.dtype == (
+            np.float64 if op.startswith("causal_attn") else dtype)
         assert out.data.tobytes() == taped.data.tobytes()
+
 
 
 def _reference_head_norm(x, gain, eps, g):
@@ -400,34 +509,43 @@ def test_rope_matches_concatenating_formula_bitwise(dtype, heads, head_dim):
 
 @pytest.mark.parametrize("groups", [1, 2])
 def test_causal_attn_gradients_match_finite_differences(groups, fd_check):
-    q, k, v = (Tensor(a.copy()) for a in _attn_inputs(groups, 5, np.float64))
-    weights = Tensor(np.random.default_rng(3).standard_normal(q.shape))
+    """The fused sublayer with its pre-norm and QK-norm, against central
+    differences in x and every weight and gain."""
+    leaves, rope, _, _ = _sublayer("qk_norm", (2, 5, 8), groups)
+    weights = Tensor(np.random.default_rng(3).standard_normal((2, 5, 8)))
 
     def loss_of():
-        return ag.tsum(ag.mul(ag.causal_attn(q, k, v, 0.5), weights))
+        out = _fused_sublayer(leaves, rope, True, True)
+        return ag.tsum(ag.mul(out, weights))
 
     with Tape() as tape:
         grads = ag.backward(loss_of(), tape)
-    fd_check({"q": q, "k": k, "v": v}, lambda: loss_of().item(), grads,
-             samples_per_param=12)
+    names = ("x", "wq", "wk", "wv", "wo", "norm", "q_gain", "k_gain")
+    fd_check(dict(zip(names, leaves)), lambda: loss_of().item(), grads,
+             samples_per_param=6)
 
 
 @pytest.mark.parametrize("j", [1, 4, 6])
 def test_causal_attn_is_causal(j):
     q, k, v = _attn_inputs(2, 7, np.float64)
-    out = ag.causal_attn(Tensor(q), Tensor(k), Tensor(v), 0.5).data
+    out = ag._attention(q, k, v, 0.5)[0]
     k2, v2 = k.copy(), v.copy()
     k2[:, :, j:] += 3.0
     v2[:, :, j:] -= 5.0
-    moved = ag.causal_attn(Tensor(q), Tensor(k2), Tensor(v2), 0.5).data
-    assert out[:, :, :j].tobytes() == moved[:, :, :j].tobytes()
-    assert not np.array_equal(out[:, :, j:], moved[:, :, j:])
+    moved = ag._attention(q, k2, v2, 0.5)[0]
+    assert out[:, :j].tobytes() == moved[:, :j].tobytes()
+    assert not np.array_equal(out[:, j:], moved[:, j:])
 
 
 def test_causal_attn_rejects_ungrouped_heads():
     q, k, v = _attn_inputs(1, 3, np.float64, kv_heads=3)
     with pytest.raises(ShapeError):
-        ag.causal_attn(Tensor(q[:, :2]), Tensor(k), Tensor(v), 0.5)
+        ag._attention(q[:, :2], k, v, 0.5)
+    leaves, rope, _, _ = _sublayer("pre_norm", (1, 3, 12))
+    leaves[2] = Tensor(np.ones((12, 8)))  # 2 kv heads of 3 for 3 q heads
+    with pytest.raises(ShapeError):
+        _fused_sublayer(leaves, rope_tables(3, 3, 10000.0, np.float64),
+                        True, False)
 
 
 def _held_by_taped_call(call):
@@ -448,25 +566,41 @@ def _held_by_taped_call(call):
 
 
 def test_taped_attention_keeps_row_statistics_not_probabilities():
-    """At the bench's shapes (B 8, 4 query heads over 2 kv heads, n 64,
-    d 16, float64), attention backward saves its (B, Hk, g, n, 1) row
-    maximum and sum, not its (n, n) probabilities (1 MiB here)."""
-    q, k, v = (Tensor(a) for a in _attn_inputs(2, 64, np.float64, d=16, b=8))
-    held, out_bytes = _held_by_taped_call(
-        lambda: ag.causal_attn(q, k, v, 0.25))
-    assert held <= out_bytes + 128 * 1024, (held, out_bytes)
+    """At the bench's shapes (x (8, 64, 64) float64, float32 weights, 4
+    query heads over 2 kv heads of 16), the fused sublayer saves, beyond
+    its output, only row statistics: the norms' inverse rms and the
+    softmax's row max and sum (36 KiB here, 60 KiB with QK-norm). Not
+    the normed input, q, k, v or attn·v (256 KiB and 128 KiB each), nor
+    the (n, n) probabilities (1 MiB), which backward rebuilds. The 2 KiB
+    allowance covers the Python objects: the tape record, the closure and
+    the statistics' array headers (about 1.5 KiB here)."""
+    for variant in ("pre_norm", "qk_norm"):
+        leaves, rope, pre_norm, qk_norm = _sublayer(
+            variant, (8, 64, 64), dtypes=("float64", "float32"))
+        rows = 8 * 64 * 8  # float64 bytes per statistic per row
+        stats = rows * (1 + 2 * 4 + qk_norm * (4 + 2))
+        held, out_bytes = _held_by_taped_call(
+            lambda: _fused_sublayer(leaves, rope, pre_norm, qk_norm))
+        assert held <= out_bytes + stats + 2048, (variant, held, out_bytes,
+                                                   stats)
 
 
 def test_taped_swiglu_keeps_only_its_input():
     """The SwiGLU feed-forward at the bench's shape, (8, 64, 64) input
-    and width 128, saves only its input, which is live anyway: not gate,
-    up or their product (512 KiB each here), which backward rebuilds."""
+    and width 128, saves only its input, which is live anyway, and with
+    a pre-norm the norm's inverse rms (4 KiB here): not the normed input
+    (256 KiB), gate, up or their product (512 KiB each), which backward
+    rebuilds."""
     rng = np.random.default_rng(7)
     x = Tensor(rng.standard_normal((8, 64, 64)))
     weights = [Tensor(0.1 * rng.standard_normal(shape).astype(np.float32))
                for shape in ((64, 128), (64, 128), (128, 64))]
+    gain = Tensor(np.ones(64, np.float32))
     held, out_bytes = _held_by_taped_call(lambda: ag.silu_glu(x, *weights))
     assert held <= out_bytes + 1024, (held, out_bytes)
+    held, out_bytes = _held_by_taped_call(
+        lambda: ag.silu_glu(x, *weights, norm=gain, eps=1e-5))
+    assert held <= out_bytes + 8 * 64 * 8 + 2048, (held, out_bytes)
 
 
 def _reference_swiglu(x, w_gate, w_up, w_down, g, gx_later):
@@ -522,6 +656,38 @@ def test_swiglu_matches_the_unfused_chain_bitwise(shape, width, dtypes):
     assert [a.shape for a in got[2:]] == [w.shape for w in weights]
 
 
+@pytest.mark.parametrize("dtypes", [
+    ("float64", "float64"), ("float64", "float32"), ("float32", "float32")],
+    ids=["float64", "float32-weights", "float32-input"])
+@pytest.mark.parametrize("shape,width", [((8, 64, 64), 128), ((3, 7, 16), 24)])
+def test_swiglu_with_pre_norm_matches_norm_then_swiglu_bitwise(shape, width,
+                                                               dtypes):
+    """With a pre-norm gain, the op's output and its x, gain and weight
+    gradients keep the bytes and dtypes of `rms_norm` followed by the op
+    without one, x also feeding the residual add."""
+    rng = np.random.default_rng(13)
+    h = shape[-1]
+    x = Tensor(rng.standard_normal(shape).astype(dtypes[0]))
+    gain = Tensor((1.0 + 0.1 * rng.standard_normal(h)).astype(dtypes[1]))
+    weights = [Tensor((rng.standard_normal(s) / np.sqrt(s[0]))
+                      .astype(dtypes[1]))
+               for s in ((h, width), (h, width), (width, h))]
+    g = Tensor(rng.standard_normal(shape))
+    runs = []
+    for fused in (True, False):
+        with Tape() as tape:
+            if fused:
+                y = ag.silu_glu(x, *weights, norm=gain, eps=1e-5)
+            else:
+                y = ag.silu_glu(ag.rms_norm(x, gain, 1e-5), *weights)
+            out = ag.add(x, y)
+            grads = ag.backward(ag.tsum(ag.mul(out, g)), tape)
+        runs.append([out.data] + [grads[leaf] for leaf in (x, gain, *weights)])
+    for got, want in zip(*runs):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_sigmoid_of_a_large_negative_input_is_zero_without_overflow():
     with np.errstate(over="raise"):
         sig = ag._sigmoid(np.array([-800.0, 1.0]))
@@ -536,15 +702,15 @@ def _same_nans_and_bytes(got, want):
 
 
 def test_causal_attn_gradients_of_a_nan_query_row_match_the_reference():
-    """Backward rebuilds a NaN row's probabilities as the forward made
-    them: the gradients hold NaN where the copy-and-mask chain's do, and
-    its bytes everywhere else."""
+    """The attention core's backward rebuilds a NaN row's probabilities
+    as its forward made them: the gradients hold NaN where the
+    copy-and-mask chain's do, and its bytes everywhere else."""
     q, k, v = _attn_inputs(2, 17, np.float64)
     q = q.copy()
     q[0, 1, 5, 2] = np.nan
     g_out = np.random.default_rng(2).standard_normal(q.shape)
     with Tape():
-        out = ag.causal_attn(Tensor(q), Tensor(k), Tensor(v), 0.5)
+        out = attention_core(Tensor(q), Tensor(k), Tensor(v), 0.5)
     got = (out.data, *out.backward_fn(g_out))
     for grad, want in zip(got, _reference_attn(q, k, v, 0.5, g_out)):
         assert np.isnan(want).any() and not np.isnan(want).all()
@@ -570,7 +736,7 @@ def test_fused_ops_with_one_huge_row_raise_no_floating_point_error():
     for fp_errors in ("raise", "warn"):  # a warning is an error here too
         with (warnings.catch_warnings(action="error"),
               np.errstate(over=fp_errors, invalid=fp_errors), Tape() as tape):
-            attn = ag.causal_attn(*leaves[:3], 0.5)
+            attn = attention_core(*leaves[:3], 0.5)
             mlp = ag.silu_glu(*leaves[3:])
             loss = ag.add(ag.tsum(attn), ag.tsum(mlp))
             grads = ag.backward(loss, tape)

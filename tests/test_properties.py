@@ -4,13 +4,17 @@ value or in the error taxonomy, never in a raw Python or numpy error."""
 import copy
 import dataclasses
 import json
+import shutil
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from recurfit import cli
 from recurfit.checkpoint import Checkpoint
 from recurfit.config import RunConfig, load_config, resolved_config_json
 from recurfit.errors import ConfigError, FormatError, NonFiniteError
@@ -198,3 +202,72 @@ def test_mutated_header_is_a_model_or_a_format_error(tmp_path, valid_blobs,
         [(_, logits)] = recurrence_sweep(model, np.zeros((1, 1), dtype=int),
                                          [1], RandomStream(0, "s0"))
     assert logits.shape == (1, 1, model.config.vocab_size)
+
+
+
+RESUME_CONFIG = dict(
+    VALID_CONFIG, total_steps=3, checkpoint_interval=1,
+    curriculum={"shape": "linear", "target": 4, "warmup_steps": 3},
+    phases=[{"datasets": ["plain"], "weights": [1.0], "start": 0, "end": 3}])
+# Each example loads a checkpoint and trains at most two tiny steps.
+RESUME = settings(max_examples=40, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                         HealthCheck.too_slow])
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """The directory of an uninterrupted 3-step run through the CLI, with
+    a checkpoint after each step; its config file sits beside it."""
+    run = tmp_path_factory.mktemp("resume") / "run"
+    config = run.parent / "config.json"
+    config.write_text(json.dumps(dict(RESUME_CONFIG, out_dir=str(run))))
+    assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
+    return run
+
+
+@RESUME
+@given(data=st.data())
+def test_resume_from_a_damaged_checkpoint_ends_the_run_or_exits_with_its_code(
+        tmp_path, finished_run, data):
+    """Resuming in place from the step-1 checkpoint of a 3-step run, cut
+    at any offset or saved again without any subset of its tensors, all
+    optimizer state of one parameter, or any subset of its top-level
+    metadata keys, either ends with the uninterrupted run's
+    final.rfck and metrics.csv or exits with a code of the CLI's error
+    taxonomy (2 to 5). An exception the CLI does not map would exit 1.
+    Before the optimizers required state for every parameter after a
+    step, a checkpoint without one parameter's moments resumed with exit
+    0 to other bytes."""
+    source = finished_run / "ckpt_step1.rfck"
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    shutil.copy(finished_run / "metrics.csv", out)
+    damaged = out / "damaged.rfck"
+    damage = data.draw(st.sampled_from(["cut", "tensors", "state", "keys"]))
+    if damage == "cut":
+        blob = source.read_bytes()
+        damaged.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+    else:
+        ckpt = Checkpoint.load(source)
+        if damage == "tensors":
+            doomed = data.draw(st.sets(st.sampled_from(sorted(ckpt.tensors))))
+        elif damage == "state":  # all optimizer state of one parameter
+            param = data.draw(st.sampled_from(sorted(
+                k for k in ckpt.tensors if not k.startswith("optimizer."))))
+            doomed = {k for k in ckpt.tensors
+                      if k.startswith("optimizer.") and k.endswith(f".{param}")}
+        else:
+            doomed = data.draw(st.sets(st.sampled_from(sorted(ckpt.metadata))))
+        for name in doomed:
+            (ckpt.metadata if damage == "keys" else ckpt.tensors).pop(name)
+        ckpt.save(damaged)
+    code = cli.main(["train", "--config",
+                     str(finished_run.parent / "config.json"), "--set",
+                     f"out_dir={out}", "--resume", str(damaged)])
+    if code == cli.EXIT_OK:
+        for name in ("final.rfck", "metrics.csv"):
+            assert (out / name).read_bytes() == \
+                (finished_run / name).read_bytes()
+    else:
+        assert code in (cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_DIVERGENCE,
+                        cli.EXIT_FORMAT)

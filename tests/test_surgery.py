@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import struct
 
 import numpy as np
@@ -231,6 +233,34 @@ def test_checkpoint_failed_save_keeps_previous_file(toy_donor, tmp_path,
         changed.save(path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["donor.rfck"]
+
+
+def test_checkpoint_save_syncs_the_file_before_the_rename_and_then_the_directory(
+        toy_donor, tmp_path, monkeypatch):
+    """A save is durable: the complete temp file is synced to disk while
+    the target still holds the previous bytes, and the directory, whose
+    entry the rename changed, after it. The power loss this guards
+    against is not reproduced here."""
+    path = tmp_path / "donor.rfck"
+    toy_donor.save(path)
+    before = path.read_bytes()
+    changed = Checkpoint(dict(toy_donor.metadata, note="newer"),
+                         toy_donor.tensors)
+    synced, fsync = [], os.fsync
+
+    def recording_fsync(fd):
+        info = os.fstat(fd)
+        synced.append(("directory" if stat.S_ISDIR(info.st_mode) else
+                       info.st_size, path.read_bytes() == before,
+                       sorted(p.name for p in tmp_path.iterdir())))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    changed.save(path)
+    after = path.read_bytes()
+    assert after != before
+    assert synced == [(len(after), True, ["donor.rfck", "donor.rfck.tmp"]),
+                      ("directory", False, ["donor.rfck"])]
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -103,6 +103,12 @@ FLOWS = {
         "run", plan_tuple=[1, 1, 1], optimizer="muon", global_batch=16,
         model={**MODEL, "qk_norm": True, "tie_embeddings": True,
                "post_norm": True}),
+    "train-recurrent-qknorm-adamw": _trained(
+        "run", plan_tuple=[1, 2, 1], optimizer="adamw",
+        model={**MODEL, "qk_norm": True}),
+    "train-recurrent-f64-postnorm-muon": _trained(
+        "run", plan_tuple=[1, 2, 1], optimizer="muon", dtype="float64",
+        model={**MODEL, "post_norm": True}),
     "surgery-identity-pass": _surgery("identity-pass"),
     "surgery-scaled-random": _surgery("scaled-random"),
     "resume": [_config("run", total_steps=4, checkpoint_interval=2,
