@@ -175,9 +175,8 @@ def _named_params(model) -> dict:
 
 @functools.cache
 def rope_tables(n: int, head_dim: int, base: float, dtype) -> tuple:
-    """(n, 1, head_dim) tables [cos, cos] and [-sin, sin] for RoPE in
-    `autograd.causal_attn` (see `autograd.rope_rotate`), broadcast over
-    the heads of a projection."""
+    """(n, 1, head_dim) tables [cos, cos] and [-sin, sin] for
+    `autograd.rope_rotate`, broadcast over the heads of a projection."""
     half = head_dim // 2
     inv_freq = base ** (-np.arange(half, dtype=np.float64) / half)
     angles = np.outer(np.arange(n), inv_freq)
@@ -186,37 +185,60 @@ def rope_tables(n: int, head_dim: int, base: float, dtype) -> tuple:
                  for pair in ((cos, cos), (-sin, sin)))
 
 
+def _attention(x: Tensor, bw: BlockWeights, cfg: ModelConfig,
+               norm: Tensor | None) -> Tensor:
+    """The attention sublayer on (B, n, h) x: the optional pre-norm, the
+    q/k/v projections, the optional per-head QK-norm and RoPE on the
+    contiguous (B, n, H*d) q and k (the heads are split off after them,
+    as strided views), grouped causal attention and the wo projection."""
+    a = x if norm is None else ag.rms_norm(x, norm, cfg.norm_eps)
+    d = cfg.head_dim
+    cos, sin = rope_tables(x.shape[-2], d, cfg.rope_base, x.dtype)
+
+    def rotated_heads(w, n_heads, gain):
+        proj = ag.matmul(a, w)
+        if cfg.qk_norm:
+            proj = ag.rms_norm(proj, ag.reshape(gain, (n_heads, d)),
+                               cfg.norm_eps)
+        return ag.split_heads(ag.rope_rotate(proj, cos, sin), n_heads, d)
+
+    q = rotated_heads(bw.wq, cfg.n_query_heads, bw.q_gain)
+    k = rotated_heads(bw.wk, cfg.n_kv_heads, bw.k_gain)
+    v = ag.split_heads(ag.matmul(a, bw.wv), cfg.n_kv_heads, d)
+    out = ag.causal_attn(q, k, v, 1.0 / np.sqrt(d))
+    return ag.matmul(ag.merge_heads(out), bw.wo)
+
+
+def _mlp(x: Tensor, bw: BlockWeights, cfg: ModelConfig,
+         norm: Tensor | None) -> Tensor:
+    """The SwiGLU feed-forward on x, after the optional pre-norm."""
+    a = x if norm is None else ag.rms_norm(x, norm, cfg.norm_eps)
+    return ag.silu_glu(a, bw.w_gate, bw.w_up, bw.w_down)
+
+
 def decoder_block(x: Tensor, bw: BlockWeights, cfg: ModelConfig) -> Tensor:
     """One pre-norm (or post-norm) residual block on (B, n, h) input.
 
-    Each sublayer is one fused op: `autograd.causal_attn` (the q/k/v
-    projections, QK-norm, RoPE, attention and the wo projection) and
-    `autograd.silu_glu`, each taking its pre-norm as well. A pre-norm
-    block records 4 tape nodes, a post-norm block 6 (its two norms and
-    residual adds)."""
+    Each sublayer, with its pre-norm, is a chain of plain ops run as one
+    `autograd.recompute` segment, bound to its input when it is recorded:
+    a taped sublayer saves no array, and its backward re-runs it. A
+    pre-norm block records 4 tape nodes, a post-norm block 6 (its two
+    norms and residual adds)."""
     n = x.shape[-2]
     if n > cfg.context_length:
         raise ContractError(f"sequence length {n} exceeds context "
                             f"{cfg.context_length}")
-    rope = rope_tables(n, cfg.head_dim, cfg.rope_base, x.dtype)
-    qk_gains = (bw.q_gain, bw.k_gain) if cfg.qk_norm else None
-    eps = cfg.norm_eps
 
-    def attention(a_in, norm=None):
-        return ag.causal_attn(a_in, bw.wq, bw.wk, bw.wv, bw.wo, rope,
-                              1.0 / np.sqrt(cfg.head_dim), norm=norm,
-                              qk_gains=qk_gains, eps=eps)
-
-    def mlp(m_in, norm=None):
-        return ag.silu_glu(m_in, bw.w_gate, bw.w_up, bw.w_down, norm=norm,
-                           eps=eps)
+    def sublayer(fn, x_in, norm=None):
+        return ag.recompute(functools.partial(fn, x_in, bw, cfg, norm))
 
     if cfg.post_norm:
-        x = ag.add(x, ag.rms_norm(attention(x), bw.g_attn, eps))
-        x = ag.add(x, ag.rms_norm(mlp(x), bw.g_mlp, eps))
+        x = ag.add(x, ag.rms_norm(sublayer(_attention, x), bw.g_attn,
+                                  cfg.norm_eps))
+        x = ag.add(x, ag.rms_norm(sublayer(_mlp, x), bw.g_mlp, cfg.norm_eps))
     else:
-        x = ag.add(x, attention(x, bw.g_attn))
-        x = ag.add(x, mlp(x, bw.g_mlp))
+        x = ag.add(x, sublayer(_attention, x, bw.g_attn))
+        x = ag.add(x, sublayer(_mlp, x, bw.g_mlp))
     return x
 
 

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 import warnings
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 
 from recurfit import autograd as ag
+from recurfit import model
 from recurfit.autograd import Tape, Tensor
 from recurfit.errors import ContractError, InputError, ShapeError
-from recurfit.model import rope_tables
+from recurfit.model import BlockWeights, ModelConfig, rope_tables
 from recurfit.random import RandomStream
 
 
@@ -92,6 +94,67 @@ def test_no_record_restores_tape_after_exception():
         with ag.no_record():
             ag.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     assert ag.active_tape() is None
+
+
+def test_recompute_off_the_tape_is_a_plain_call():
+    result = Tensor(np.ones(2))
+    assert ag.recompute(lambda: result) is result
+    with Tape():
+        with ag.no_record():
+            assert ag.recompute(lambda: result) is result
+
+
+def test_recompute_records_one_node_without_parents():
+    a = Tensor(np.arange(3.0))
+    with Tape() as tape:
+        out = ag.recompute(functools.partial(ag.scale, ag.mul(a, a), 2.0))
+        assert len(tape.nodes) == 2 and tape.nodes[-1] is out.node
+        assert out.node.parents == ()
+        grads = ag.backward(ag.tsum(out), tape)
+    assert out.data.tolist() == [0.0, 2.0, 8.0]
+    assert grads[a].tolist() == [0.0, 4.0, 8.0]
+
+
+def test_recompute_walks_its_segment_without_the_public_backward(
+        monkeypatch):
+    """A wrapper of `ag.backward` (as the bench tracer installs one) runs
+    once per backward, not once more per segment."""
+    calls = []
+    public = ag.backward
+
+    def counted(loss, tape):
+        calls.append(tape)
+        return public(loss, tape)
+
+    monkeypatch.setattr(ag, "backward", counted)
+    a = Tensor(np.arange(3.0))
+    with Tape() as tape:
+        out = ag.recompute(functools.partial(ag.scale, a, 2.0))
+        out = ag.recompute(functools.partial(ag.mul, out, a))
+        grads = ag.backward(ag.tsum(out), tape)
+    assert calls == [tape]
+    assert grads[a].tolist() == [0.0, 4.0, 8.0]
+
+
+def test_recompute_error_in_the_rerun_restores_the_tape():
+    a = Tensor(np.ones(3))
+    calls = []
+
+    def fails_when_rerun():
+        calls.append(None)
+        if len(calls) > 1:
+            raise ShapeError("re-run")
+        return ag.scale(a, 2.0)
+
+    with Tape() as tape:
+        out = ag.recompute(fails_when_rerun)
+        with pytest.raises(ShapeError, match="re-run"):
+            ag.backward(ag.tsum(out), tape)
+        assert ag.active_tape() is tape
+    assert ag.active_tape() is None
+    with Tape() as tape:
+        out = ag.recompute(functools.partial(ag.scale, a, 2.0))
+        assert ag.backward(ag.tsum(out), tape)[a].tolist() == [2.0] * 3
 
 
 def test_nested_tapes_rejected():
@@ -239,26 +302,11 @@ def _attn_inputs(groups, n, dtype, seed=0, kv_heads=2, d=4, b=2):
     return q, k, v
 
 
-def attention_core(q, k, v, att_scale):
-    """The private (q, k, v) attention core of `causal_attn` as a taped op
-    on head splits, the attention node of the unfused sublayer chain:
-    backward rebuilds the probabilities from the saved row statistics."""
-    qd, kd, vd = q.data, k.data, v.data
-    merged, _, stats = ag._attention(qd, kd, vd, att_scale)
-
-    def bwd(g):
-        attn = ag._attention(qd, kd, vd, att_scale, stats)[1]
-        return ag._attention_grads(g, attn, qd, kd, vd, att_scale)
-
-    return ag._make(ag._heads(merged, qd.shape[1], qd.shape[-1]), (q, k, v),
-                    bwd)
-
-
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("n", [1, 7, 16, 17, 64])
 @pytest.mark.parametrize("groups", [1, 2, 4])
 def test_causal_attn_matches_copy_and_mask_chain_bitwise(groups, n, dtype):
-    """The attention core, taped and untaped, and for float32 inputs
+    """The attention op, taped and untaped, and for float32 inputs
     promoted to float64 by an np.float64 scale (as the decoder block
     passes it) as well as scaled in place by a Python float."""
     q, k, v = _attn_inputs(groups, n, dtype)
@@ -270,8 +318,8 @@ def test_causal_attn_matches_copy_and_mask_chain_bitwise(groups, n, dtype):
         # strided as merge_heads' backward hands it over
         g_out = g_out.transpose(0, 2, 1, 3).copy().transpose(0, 2, 1, 3)
         with Tape():
-            out = attention_core(tq, tk, tv, att_scale)
-        untaped = [attention_core(tq, tk, tv, att_scale).data
+            out = ag.causal_attn(tq, tk, tv, att_scale)
+        untaped = [ag.causal_attn(tq, tk, tv, att_scale).data
                    for _ in range(2)]
         ref_out, ref_gq, ref_gk, ref_gv = _reference_attn(q, k, v, att_scale,
                                                           g_out)
@@ -288,13 +336,16 @@ def test_causal_attn_untaped_call_after_a_nan_row_is_unaffected():
     """A NaN score row must not leave NaN in the next call's masked
     entries."""
     q, k, v = _attn_inputs(2, 17, np.float64)
-    clean = ag._attention(q, k, v, 0.5)[0]
+
+    def attend(q):
+        return ag.causal_attn(Tensor(q), Tensor(k), Tensor(v), 0.5).data
+
+    clean = attend(q)
     poisoned = q.copy()
     poisoned[0, 0, 3, 0] = np.nan
-    hit = ag._attention(poisoned, k, v, 0.5)[0]
-    assert np.isnan(hit[0, 3, :4]).all() and np.isfinite(hit[0, 4]).all()
-    again = ag._attention(q, k, v, 0.5)[0]
-    assert again.tobytes() == clean.tobytes()
+    hit = attend(poisoned)
+    assert np.isnan(hit[0, 0, 3]).all() and np.isfinite(hit[0, :, 4]).all()
+    assert attend(q).tobytes() == clean.tobytes()
 
 
 def _sublayer(variant, shape, groups=2, dtypes=("float64", "float64"),
@@ -317,17 +368,24 @@ def _sublayer(variant, shape, groups=2, dtypes=("float64", "float64"),
             variant == "qk_norm")
 
 
-def _fused_sublayer(leaves, rope, pre_norm, qk_norm):
+def _segment(leaves, rope, pre_norm, qk_norm):
+    """The model's attention sublayer on these leaves as it runs in a
+    decoder block: one `ag.recompute` segment bound to its input."""
     x, wq, wk, wv, wo, norm, q_gain, k_gain = leaves
-    return ag.causal_attn(x, wq, wk, wv, wo, rope,
-                          1.0 / np.sqrt(rope[0].shape[-1]),
-                          norm=norm if pre_norm else None,
-                          qk_gains=(q_gain, k_gain) if qk_norm else None,
-                          eps=1e-5)
+    d = rope[0].shape[-1]
+    h = wq.shape[-1]
+    cfg = ModelConfig(vocab_size=1, hidden=h, n_query_heads=h // d,
+                      n_kv_heads=wk.shape[-1] // d, head_dim=d, ffn_width=1,
+                      context_length=x.shape[-2], qk_norm=qk_norm)
+    bw = BlockWeights(wq, wk, wv, wo, None, None, None, norm, None,
+                      q_gain, k_gain)
+    return ag.recompute(functools.partial(model._attention, x, bw, cfg,
+                                          norm if pre_norm else None))
 
 
 def _unfused_sublayer(leaves, rope, pre_norm, qk_norm):
-    """The attention sublayer as the chain of single ops it fuses."""
+    """The attention sublayer as a chain of single ops, recorded straight
+    onto the tape: the reference for the model's segment."""
     x, wq, wk, wv, wo, norm, q_gain, k_gain = leaves
     d = rope[0].shape[-1]
     a = ag.rms_norm(x, norm, 1e-5) if pre_norm else x
@@ -341,7 +399,7 @@ def _unfused_sublayer(leaves, rope, pre_norm, qk_norm):
 
     q, k = rotated_heads(wq, q_gain), rotated_heads(wk, k_gain)
     v = ag.split_heads(ag.matmul(a, wv), wv.shape[-1] // d, d)
-    out = attention_core(q, k, v, 1.0 / np.sqrt(d))
+    out = ag.causal_attn(q, k, v, 1.0 / np.sqrt(d))
     return ag.matmul(ag.merge_heads(out), wo)
 
 
@@ -353,20 +411,21 @@ def _unfused_sublayer(leaves, rope, pre_norm, qk_norm):
 @pytest.mark.parametrize("shape", [(8, 64, 64), (3, 7, 16)])
 def test_attention_sublayer_matches_the_unfused_chain_bitwise(
         shape, dtypes, groups, variant):
-    """The fused sublayer's output and every gradient (x, the four
-    projections, the norm gain, QK-norm's gains) keep the bytes and
-    dtypes of the unfused chain: for float64, for float32 weights on
-    float64 activations (the mix a float32 model computes in), and for a
-    float32 input (the first block of a float32 model, whose np.float64
-    attention scale promotes the scores). x also feeds the residual add,
-    and a post-norm variant normalises the output, as the decoder block
-    does, so the order in which the tape sums x's gradient shows."""
+    """The model's attention segment's output and every gradient (x, the
+    four projections, the norm gain, QK-norm's gains) keep the bytes and
+    dtypes of the unfused chain recorded directly: for float64, for
+    float32 weights on float64 activations (the mix a float32 model
+    computes in), and for a float32 input (the first block of a float32
+    model, whose np.float64 attention scale promotes the scores). x also
+    feeds the residual add, and a post-norm variant normalises the output,
+    as the decoder block does, so the order in which the tape sums x's
+    gradient shows."""
     leaves, rope, pre_norm, qk_norm = _sublayer(variant, shape, groups,
                                                 dtypes)
     x, norm = leaves[0], leaves[5]
     g = Tensor(np.random.default_rng(3).standard_normal(shape))
     runs = []
-    for sublayer in (_fused_sublayer, _unfused_sublayer):
+    for sublayer in (_segment, _unfused_sublayer):
         with Tape() as tape:
             y = sublayer(leaves, rope, pre_norm, qk_norm)
             if not pre_norm:
@@ -381,10 +440,18 @@ def test_attention_sublayer_matches_the_unfused_chain_bitwise(
         assert got.tobytes() == want.tobytes()
 
 
+def _mlp_segment(x, gain, weights):
+    """The model's SwiGLU sublayer with its pre-norm, as a segment."""
+    bw = BlockWeights(None, None, None, None, *weights, None, gain)
+    cfg = ModelConfig(vocab_size=1, hidden=2, n_query_heads=1, n_kv_heads=1,
+                      head_dim=2, ffn_width=1)
+    return ag.recompute(functools.partial(model._mlp, x, bw, cfg, gain))
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("op", ["rms_norm-row", "rms_norm-heads", "silu_glu",
-                                "silu_glu-norm", "rope_rotate", "causal_attn",
-                                "causal_attn-qk_norm"])
+                                "mlp_segment", "rope_rotate", "causal_attn",
+                                "attention_segment"])
 def test_fused_op_gives_the_same_bytes_on_and_off_the_tape(op, dtype):
     """An op allocates the same way whether it records or not, so two
     consecutive untaped calls give the taped output's bytes."""
@@ -396,16 +463,17 @@ def test_fused_op_gives_the_same_bytes_on_and_off_the_tape(op, dtype):
     row_gain = Tensor((1.0 + 0.1 * rng.standard_normal(16)).astype(dtype))
     head_gain = Tensor((1.0 + 0.1 * rng.standard_normal((2, 8))).astype(dtype))
     cos, sin = rope_tables(9, 8, 10000.0, dtype)
-    pre, qk = (_sublayer(variant, (2, 9, 16), dtypes=(dtype, dtype))
-               for variant in ("pre_norm", "qk_norm"))
+    q, k, v = (Tensor(a) for a in _attn_inputs(2, 9, dtype))
+    qk = _sublayer("qk_norm", (2, 9, 16), dtypes=(dtype, dtype))
     call = {"rms_norm-row": lambda: ag.rms_norm(x, row_gain, 1e-5),
             "rms_norm-heads": lambda: ag.rms_norm(x, head_gain, 1e-5),
             "silu_glu": lambda: ag.silu_glu(x, w_gate, w_up, w_down),
-            "silu_glu-norm": lambda: ag.silu_glu(x, w_gate, w_up, w_down,
-                                                 norm=row_gain, eps=1e-5),
+            "mlp_segment": lambda: _mlp_segment(x, row_gain,
+                                                (w_gate, w_up, w_down)),
             "rope_rotate": lambda: ag.rope_rotate(x, cos, sin),
-            "causal_attn": lambda: _fused_sublayer(*pre),
-            "causal_attn-qk_norm": lambda: _fused_sublayer(*qk)}[op]
+            "causal_attn": lambda: ag.causal_attn(q, k, v,
+                                                  1.0 / np.sqrt(4.0)),
+            "attention_segment": lambda: _segment(*qk)}[op]
     with Tape():
         taped = call()
         with ag.no_record():
@@ -415,9 +483,9 @@ def test_fused_op_gives_the_same_bytes_on_and_off_the_tape(op, dtype):
         assert out.node is None
         # the np.float64 attention scale promotes float32 scores
         assert out.dtype == taped.dtype == (
-            np.float64 if op.startswith("causal_attn") else dtype)
+            np.float64 if op in ("causal_attn", "attention_segment")
+            else dtype)
         assert out.data.tobytes() == taped.data.tobytes()
-
 
 
 def _reference_head_norm(x, gain, eps, g):
@@ -508,14 +576,15 @@ def test_rope_matches_concatenating_formula_bitwise(dtype, heads, head_dim):
 
 
 @pytest.mark.parametrize("groups", [1, 2])
-def test_causal_attn_gradients_match_finite_differences(groups, fd_check):
-    """The fused sublayer with its pre-norm and QK-norm, against central
-    differences in x and every weight and gain."""
+def test_attention_segment_gradients_match_finite_differences(groups,
+                                                              fd_check):
+    """The model's attention segment with its pre-norm and QK-norm,
+    against central differences in x and every weight and gain."""
     leaves, rope, _, _ = _sublayer("qk_norm", (2, 5, 8), groups)
     weights = Tensor(np.random.default_rng(3).standard_normal((2, 5, 8)))
 
     def loss_of():
-        out = _fused_sublayer(leaves, rope, True, True)
+        out = _segment(leaves, rope, True, True)
         return ag.tsum(ag.mul(out, weights))
 
     with Tape() as tape:
@@ -528,24 +597,25 @@ def test_causal_attn_gradients_match_finite_differences(groups, fd_check):
 @pytest.mark.parametrize("j", [1, 4, 6])
 def test_causal_attn_is_causal(j):
     q, k, v = _attn_inputs(2, 7, np.float64)
-    out = ag._attention(q, k, v, 0.5)[0]
+
+    def attend(k, v):
+        return ag.causal_attn(Tensor(q), Tensor(k), Tensor(v), 0.5).data
+
+    out = attend(k, v)
     k2, v2 = k.copy(), v.copy()
     k2[:, :, j:] += 3.0
     v2[:, :, j:] -= 5.0
-    moved = ag._attention(q, k2, v2, 0.5)[0]
-    assert out[:, :j].tobytes() == moved[:, :j].tobytes()
-    assert not np.array_equal(out[:, j:], moved[:, j:])
+    moved = attend(k2, v2)
+    assert out[:, :, :j].tobytes() == moved[:, :, :j].tobytes()
+    assert not np.array_equal(out[:, :, j:], moved[:, :, j:])
 
 
 def test_causal_attn_rejects_ungrouped_heads():
     q, k, v = _attn_inputs(1, 3, np.float64, kv_heads=3)
     with pytest.raises(ShapeError):
-        ag._attention(q[:, :2], k, v, 0.5)
-    leaves, rope, _, _ = _sublayer("pre_norm", (1, 3, 12))
-    leaves[2] = Tensor(np.ones((12, 8)))  # 2 kv heads of 3 for 3 q heads
+        ag.causal_attn(Tensor(q[:, :2]), Tensor(k), Tensor(v), 0.5)
     with pytest.raises(ShapeError):
-        _fused_sublayer(leaves, rope_tables(3, 3, 10000.0, np.float64),
-                        True, False)
+        ag.causal_attn(Tensor(q), Tensor(k), Tensor(v[:, :2]), 0.5)
 
 
 def _held_by_taped_call(call):
@@ -553,7 +623,7 @@ def _held_by_taped_call(call):
     output plus whatever its backward saved beyond the live inputs. The
     empty tape is counted in the base: whether its dict comes from a free
     list or from malloc varies with the tests run before."""
-    call()  # fills the per-shape caches (causal masks) off the tape
+    call()  # fills the per-shape caches (causal masks, RoPE tables)
     tracemalloc.start()
     try:
         with Tape():
@@ -565,42 +635,30 @@ def _held_by_taped_call(call):
     return held, out.data.nbytes
 
 
-def test_taped_attention_keeps_row_statistics_not_probabilities():
+@pytest.mark.parametrize("sublayer", ["pre_norm", "qk_norm", "mlp"])
+def test_taped_segment_keeps_no_array(sublayer):
     """At the bench's shapes (x (8, 64, 64) float64, float32 weights, 4
-    query heads over 2 kv heads of 16), the fused sublayer saves, beyond
-    its output, only row statistics: the norms' inverse rms and the
-    softmax's row max and sum (36 KiB here, 60 KiB with QK-norm). Not
-    the normed input, q, k, v or attn·v (256 KiB and 128 KiB each), nor
-    the (n, n) probabilities (1 MiB), which backward rebuilds. The 2 KiB
-    allowance covers the Python objects: the tape record, the closure and
-    the statistics' array headers (about 1.5 KiB here)."""
-    for variant in ("pre_norm", "qk_norm"):
-        leaves, rope, pre_norm, qk_norm = _sublayer(
-            variant, (8, 64, 64), dtypes=("float64", "float32"))
-        rows = 8 * 64 * 8  # float64 bytes per statistic per row
-        stats = rows * (1 + 2 * 4 + qk_norm * (4 + 2))
+    query heads over 2 kv heads of 16, width 128), a taped sublayer
+    segment holds only its output: not the normed input, q, k, v or
+    attn·v (256 KiB and 128 KiB each), the (n, n) probabilities (1 MiB),
+    nor gate, up or the sigmoid (512 KiB each), which its backward
+    rebuilds by re-running the segment. The 2 KiB allowance covers the
+    Python objects: the tape record, the closure, the bound call and the
+    output's array header (about 1.1 KiB here)."""
+    if sublayer == "mlp":
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.standard_normal((8, 64, 64)))
+        weights = [Tensor(0.1 * rng.standard_normal(shape).astype(np.float32))
+                   for shape in ((64, 128), (64, 128), (128, 64))]
+        gain = Tensor(np.ones(64, np.float32))
         held, out_bytes = _held_by_taped_call(
-            lambda: _fused_sublayer(leaves, rope, pre_norm, qk_norm))
-        assert held <= out_bytes + stats + 2048, (variant, held, out_bytes,
-                                                   stats)
-
-
-def test_taped_swiglu_keeps_only_its_input():
-    """The SwiGLU feed-forward at the bench's shape, (8, 64, 64) input
-    and width 128, saves only its input, which is live anyway, and with
-    a pre-norm the norm's inverse rms (4 KiB here): not the normed input
-    (256 KiB), gate, up or their product (512 KiB each), which backward
-    rebuilds."""
-    rng = np.random.default_rng(7)
-    x = Tensor(rng.standard_normal((8, 64, 64)))
-    weights = [Tensor(0.1 * rng.standard_normal(shape).astype(np.float32))
-               for shape in ((64, 128), (64, 128), (128, 64))]
-    gain = Tensor(np.ones(64, np.float32))
-    held, out_bytes = _held_by_taped_call(lambda: ag.silu_glu(x, *weights))
-    assert held <= out_bytes + 1024, (held, out_bytes)
-    held, out_bytes = _held_by_taped_call(
-        lambda: ag.silu_glu(x, *weights, norm=gain, eps=1e-5))
-    assert held <= out_bytes + 8 * 64 * 8 + 2048, (held, out_bytes)
+            lambda: _mlp_segment(x, gain, weights))
+    else:
+        leaves, rope, pre_norm, qk_norm = _sublayer(
+            sublayer, (8, 64, 64), dtypes=("float64", "float32"))
+        held, out_bytes = _held_by_taped_call(
+            lambda: _segment(leaves, rope, pre_norm, qk_norm))
+    assert held <= out_bytes + 2048, (held, out_bytes)
 
 
 def _reference_swiglu(x, w_gate, w_up, w_down, g, gx_later):
@@ -662,9 +720,9 @@ def test_swiglu_matches_the_unfused_chain_bitwise(shape, width, dtypes):
 @pytest.mark.parametrize("shape,width", [((8, 64, 64), 128), ((3, 7, 16), 24)])
 def test_swiglu_with_pre_norm_matches_norm_then_swiglu_bitwise(shape, width,
                                                                dtypes):
-    """With a pre-norm gain, the op's output and its x, gain and weight
-    gradients keep the bytes and dtypes of `rms_norm` followed by the op
-    without one, x also feeding the residual add."""
+    """The model's SwiGLU segment, with its pre-norm, keeps the output
+    bytes and the x, gain and weight gradients of `rms_norm` followed by
+    `silu_glu` recorded directly, x also feeding the residual add."""
     rng = np.random.default_rng(13)
     h = shape[-1]
     x = Tensor(rng.standard_normal(shape).astype(dtypes[0]))
@@ -674,10 +732,10 @@ def test_swiglu_with_pre_norm_matches_norm_then_swiglu_bitwise(shape, width,
                for s in ((h, width), (h, width), (width, h))]
     g = Tensor(rng.standard_normal(shape))
     runs = []
-    for fused in (True, False):
+    for segment in (True, False):
         with Tape() as tape:
-            if fused:
-                y = ag.silu_glu(x, *weights, norm=gain, eps=1e-5)
+            if segment:
+                y = _mlp_segment(x, gain, weights)
             else:
                 y = ag.silu_glu(ag.rms_norm(x, gain, 1e-5), *weights)
             out = ag.add(x, y)
@@ -702,15 +760,15 @@ def _same_nans_and_bytes(got, want):
 
 
 def test_causal_attn_gradients_of_a_nan_query_row_match_the_reference():
-    """The attention core's backward rebuilds a NaN row's probabilities
-    as its forward made them: the gradients hold NaN where the
-    copy-and-mask chain's do, and its bytes everywhere else."""
+    """The attention op's output and gradients hold NaN where the
+    copy-and-mask chain's do for a NaN query row, and its bytes
+    everywhere else."""
     q, k, v = _attn_inputs(2, 17, np.float64)
     q = q.copy()
     q[0, 1, 5, 2] = np.nan
     g_out = np.random.default_rng(2).standard_normal(q.shape)
     with Tape():
-        out = attention_core(Tensor(q), Tensor(k), Tensor(v), 0.5)
+        out = ag.causal_attn(Tensor(q), Tensor(k), Tensor(v), 0.5)
     got = (out.data, *out.backward_fn(g_out))
     for grad, want in zip(got, _reference_attn(q, k, v, 0.5, g_out)):
         assert np.isnan(want).any() and not np.isnan(want).all()
@@ -720,9 +778,9 @@ def test_causal_attn_gradients_of_a_nan_query_row_match_the_reference():
 def test_fused_ops_with_one_huge_row_raise_no_floating_point_error():
     """One row of attention scores, and one row of SwiGLU gates, scaled
     by 1e3, and a row of gates at -800, where the sigmoid's exp
-    overflows: forward and backward, rebuilding the probabilities and the
-    sigmoid included, give finite values and neither raise under strict
-    floating-point checks nor warn."""
+    overflows: forward and backward, each op run as a segment whose
+    backward re-runs it, give finite values and neither raise under
+    strict floating-point checks nor warn."""
     q, k, v = _attn_inputs(2, 17, np.float64)
     q = q.copy()
     q[1, 2, 9] *= 1e3
@@ -736,8 +794,9 @@ def test_fused_ops_with_one_huge_row_raise_no_floating_point_error():
     for fp_errors in ("raise", "warn"):  # a warning is an error here too
         with (warnings.catch_warnings(action="error"),
               np.errstate(over=fp_errors, invalid=fp_errors), Tape() as tape):
-            attn = attention_core(*leaves[:3], 0.5)
-            mlp = ag.silu_glu(*leaves[3:])
+            attn = ag.recompute(functools.partial(ag.causal_attn,
+                                                  *leaves[:3], 0.5))
+            mlp = ag.recompute(functools.partial(ag.silu_glu, *leaves[3:]))
             loss = ag.add(ag.tsum(attn), ag.tsum(mlp))
             grads = ag.backward(loss, tape)
         assert np.isfinite(attn.data).all() and np.isfinite(mlp.data).all()

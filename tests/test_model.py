@@ -1,6 +1,10 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -464,34 +468,81 @@ def test_backward_peak_stays_near_forward_memory(tiny_recurrent):
 def test_block_frees_the_outputs_that_no_backward_reads(tiny_fixed,
                                                         monkeypatch):
     """The tape records the graph, not the values. The outputs of the
-    attention sublayer and of the SwiGLU feed-forward, read only by
-    residual adds, are freed once `decoder_block` returns; each op's
-    input (the block input and the mid-block residual), which its
-    backward reads, stays."""
+    attention and SwiGLU segments, read only by residual adds, are freed
+    once `decoder_block` returns; each segment's input (the block input
+    and the mid-block residual), which its backward re-runs on, stays."""
     bw, cfg = tiny_fixed.blocks[0], tiny_fixed.config
-    refs = {}
+    refs, recompute = [], ag.recompute
 
-    def watched(op):
-        def call(a, *args, **kwargs):
-            out = op(a, *args, **kwargs)
-            refs[op.__name__] = (weakref.ref(out.data), weakref.ref(a.data))
-            return out
-        return call
+    def watched(fn):
+        out = recompute(fn)
+        refs.append((weakref.ref(out.data), weakref.ref(fn.args[0].data)))
+        return out
 
-    monkeypatch.setattr(ag, "causal_attn", watched(ag.causal_attn))
-    monkeypatch.setattr(ag, "silu_glu", watched(ag.silu_glu))
+    monkeypatch.setattr(ag, "recompute", watched)
     x = Tensor(np.random.default_rng(0).standard_normal((2, 5, cfg.hidden)))
     with Tape() as tape:
         y = decoder_block(x, bw, cfg)
-        for output, op_input in refs.values():
-            assert output() is None and op_input() is not None
-        assert refs["causal_attn"][1]() is x.data
-        fused = [node for node in tape.nodes
-                 if node.parents[-1] in (bw.wo, bw.w_down)]
-        assert len(fused) == 2 and all(node.data.size == 0 for node in fused)
+        assert len(refs) == 2
+        for output, segment_input in refs:
+            assert output() is None and segment_input() is not None
+        assert refs[0][1]() is x.data
+        segments = [node for node in tape.nodes if node.parents == ()]
+        assert len(segments) == 2 and all(node.data.size == 0
+                                          for node in segments)
         assert tape.nodes[-1].data is y.data
         grads = ag.backward(ag.tsum(y), tape)
     assert set(grads) == {x, *bw.named("b").values()}
+
+
+@pytest.mark.parametrize("variant", [{}, {"post_norm": True},
+                                     {"qk_norm": True}],
+                         ids=["pre_norm", "post_norm", "qk_norm"])
+def test_block_segments_match_recording_directly_bitwise(tiny_cfg, variant,
+                                                         monkeypatch):
+    """Two blocks on the same weights (four segments sharing each weight),
+    their input also read after the first segment (residual adds, and a
+    post-norm block's output norm): output and every gradient keep the
+    bytes of the same blocks with each sublayer's ops recorded directly.
+    A segment that read the rebound block variable instead of its bound
+    input would re-run on the wrong tensor here."""
+    cfg = dataclasses.replace(tiny_cfg, **variant)
+    bw = init_fixed(cfg, 1, RandomStream(0, "init")).blocks[0]
+    x = Tensor(RandomStream(1, "x").normal((2, 7, cfg.hidden)))
+    g = Tensor(RandomStream(2, "g").normal((2, 7, cfg.hidden)))
+    leaves = [x, *bw.named("b").values()]
+    runs = []
+    for direct in (False, True):
+        if direct:
+            monkeypatch.setattr(ag, "recompute", lambda fn: fn())
+        with Tape() as tape:
+            out = decoder_block(decoder_block(x, bw, cfg), bw, cfg)
+            grads = ag.backward(ag.tsum(ag.mul(out, g)), tape)
+        runs.append([out.data] + [grads[leaf] for leaf in leaves])
+    for got, want in zip(*runs):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_segments_multiply_the_models_own_weights(tiny_fixed, monkeypatch):
+    """Forward and the re-run in backward hand each projection the
+    block's weight object itself, which the bench tracer keys its matmul
+    families by."""
+    bw, cfg = tiny_fixed.blocks[0], tiny_fixed.config
+    seen = []
+    matmul = ag.matmul
+
+    def recorded(a, b):
+        seen.append(b)
+        return matmul(a, b)
+
+    monkeypatch.setattr(ag, "matmul", recorded)
+    x = Tensor(np.ones((1, 3, cfg.hidden)))
+    with Tape() as tape:
+        y = decoder_block(x, bw, cfg)
+        assert len(seen) == 4
+        ag.backward(ag.tsum(y), tape)
+    assert [id(w) for w in seen] == [id(w) for w in (bw.wq, bw.wk, bw.wv,
+                                                     bw.wo)] * 2
 
 
 def test_taped_forward_holds_less_than_its_op_outputs(tiny_recurrent,
@@ -529,14 +580,17 @@ def test_taped_forward_holds_less_than_its_op_outputs(tiny_recurrent,
     assert held < sum(output_bytes), (held, sum(output_bytes))
 
 
-def test_bench_shaped_taped_window_holds_at_most_16_mib():
+def test_bench_shaped_taped_window_holds_at_most_15_mib():
     """The bench's model (h 64, 4 query over 2 kv heads, width 128, float32
     weights, plan (1, 2, 1)) on 8x64 tokens at r=12, w=8: a taped forward
-    plus cross entropy holds at most 16 MiB (15.4 MiB today: mostly each
+    plus cross entropy holds at most 15 MiB (14.7 MiB today: mostly each
     taped block's input and mid-block residual, and the adapter's
-    [state ; injected] input). Before attention and the pre-norms were
-    fused ops, the tape held 37.7 MiB; while the SwiGLU feed-forward kept
-    gate, up and their product, 64.7 MiB."""
+    [state ; injected] input), and its backward peaks at most 18.25 MiB
+    above the same base (17.9 MiB today: the tape plus one re-run
+    segment's arrays). While attention and the pre-norms were fused ops
+    that kept row statistics, the tape held 15.4 MiB and backward peaked
+    at 18.4 MiB; before that fusion, the tape held 37.7 MiB; while the
+    SwiGLU feed-forward kept gate, up and their product, 64.7 MiB."""
     cfg = ModelConfig(vocab_size=257, hidden=64, n_query_heads=4,
                       n_kv_heads=2, head_dim=16, ffn_width=128,
                       context_length=64)
@@ -550,14 +604,62 @@ def test_bench_shaped_taped_window_holds_at_most_16_mib():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        with Tape():
+        with Tape() as tape:
             loss = ag.cross_entropy_mean(
                 forward_recurrent(model, tokens, run), targets)
             held = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            ag.backward(loss, tape)
+            peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert np.isfinite(loss.item())
-    assert held <= 16 * 2**20, held
+    assert held <= 15 * 2**20, held
+    assert peak <= 18.25 * 2**20, peak
+
+
+_FAULTS_OF_A_STEP = """
+import resource
+import numpy as np
+from recurfit import autograd as ag
+from recurfit.model import (ModelConfig, RecurrenceRun, forward_recurrent,
+                            init_recurrent)
+from recurfit.random import RandomStream
+
+cfg = ModelConfig(vocab_size=257, hidden=64, n_query_heads=4, n_kv_heads=2,
+                  head_dim=16, ffn_width=128, context_length=64)
+model = init_recurrent(cfg, (1, 2, 1), RandomStream(0, "init"),
+                       dtype=np.float32)
+tokens = RandomStream(1, "tok").integers(0, 257, (8, 64))
+targets = RandomStream(2, "tgt").integers(0, 257, (8, 64))
+
+def step():
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with ag.Tape() as tape:
+        logits = forward_recurrent(model, tokens,
+                                   RecurrenceRun(32, 8, RandomStream(9, "s0")))
+        ag.backward(ag.cross_entropy_mean(logits, targets), tape)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+step()
+step()
+print(step())
+"""
+
+
+def test_training_step_after_warm_up_takes_few_page_faults():
+    """A bench-shaped r=32, w=8 step, in a fresh interpreter after two
+    warm-up steps, reuses the heap the warm-up grew: importing recurfit
+    stops glibc from trimming it back after each step and from mapping
+    each larger array afresh. With glibc's defaults the step took about
+    19.5k minor faults (15.4k while the sublayers were hand-fused ops
+    that kept row statistics); with the setting, 5."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    faults = subprocess.run([sys.executable, "-c", _FAULTS_OF_A_STEP],
+                            env=env, capture_output=True, text=True,
+                            check=True, timeout=120)
+    assert int(faults.stdout) < 1000, faults.stdout
 
 
 @pytest.mark.xfail(strict=True, reason="the np.float64 attention scale "
