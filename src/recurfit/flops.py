@@ -9,18 +9,12 @@ every window, which is also the effective size at test-time depth r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import ModelConfig
 from .surgery import ParamReport, count_fixed_params, count_parameters
 
 
 def train_flops(n1, n2, tokens: int) -> float:
     return (6.0 * n1 + 2.0 * n2) * tokens
-
-
-def flops_fixed(non_embedding_params: int, tokens: int) -> float:
-    return train_flops(non_embedding_params, 0, tokens)
 
 
 def recurrent_split(report: ParamReport, mean_r: float, window: int) -> tuple:
@@ -38,22 +32,3 @@ def param_split(cfg: ModelConfig, counts: tuple, mean_r: float,
         return count_fixed_params(cfg, counts[0]), 0
     return recurrent_split(count_parameters(cfg, counts), mean_r, window)
 
-
-def flops_for_step(report: ParamReport, mean_r: float, window: int,
-                   tokens: int) -> float:
-    """Recurrent-step FLOPs at curriculum mean `mean_r` and window."""
-    return train_flops(*recurrent_split(report, mean_r, window), tokens)
-
-
-@dataclass
-class FlopMeter:
-    cumulative: float = 0.0
-
-    def add(self, n1, n2, tokens: int) -> float:
-        value = train_flops(n1, n2, tokens)
-        self.cumulative += value
-        return value
-
-    def add_recurrent(self, report: ParamReport, mean_r: float, window: int,
-                      tokens: int) -> float:
-        return self.add(*recurrent_split(report, mean_r, window), tokens)

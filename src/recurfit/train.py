@@ -1,12 +1,14 @@
 """End-to-end training loop.
 
-Per optimizer step: advance the depth curriculum and backprop-window
-schedules, sample one recurrence count shared across the global batch,
-accumulate micro-batch gradients of mean next-token cross entropy, clip,
-apply the optimizer at the scheduled rate, and meter FLOPs with the
-step's curriculum mean. Non-finite losses skip the update and are
-recorded in the metrics so divergence signatures stay observable;
-repeated events abort the run.
+`train` starts a run, or resumes one (`_resume`, the inverse of
+`_save_checkpoint`), and loops `_step`, one optimizer step: advance the
+depth curriculum and backprop-window schedules, sample one recurrence
+count shared across the global batch, accumulate micro-batch gradients
+of mean next-token cross entropy, clip, apply the optimizer at the
+scheduled rate, and advance the run's `TrainState` counters, FLOPs
+metered at the step's curriculum mean. Non-finite losses skip the
+update and are recorded in the metrics so divergence signatures stay
+observable; repeated events abort the run.
 
 Everything random is keyed by (seed, purpose, step), so reruns are
 byte-identical and resuming from a checkpoint continues bit-exactly.
@@ -28,9 +30,9 @@ from .autograd import Tape
 from .config import RunConfig, resolved_config_json
 from .checkpoint import Checkpoint
 from .data import step_batch
-from .errors import DivergenceError, FormatError, NonFiniteError
+from .errors import ConfigError, DivergenceError, FormatError, NonFiniteError
 from .fields import bounded, build, checked_dataclass
-from .flops import FlopMeter, param_split
+from .flops import param_split, train_flops
 from .model import (FixedModel, RecurrenceRun, forward_fixed,
                     forward_recurrent, init_fixed, init_recurrent,
                     section_counts)
@@ -80,7 +82,7 @@ def initial_layout(cfg: RunConfig) -> tuple:
 
 @checked_dataclass
 class TrainState:
-    """A run's progress as its checkpoints record it, for resuming."""
+    """A run's running counters, as its checkpoints record them."""
     step: int = bounded(0)
     tokens_seen: int = bounded(0)
     cumulative_flops: float = bounded(0)
@@ -93,6 +95,30 @@ def _save_checkpoint(path, model, optimizer, state: TrainState):
     ckpt.save(path)
 
 
+def _resume(path, cfg: RunConfig, optimizer) -> tuple:
+    """(model, TrainState) from a checkpoint `_save_checkpoint` wrote,
+    its optimizer state loaded into `optimizer`; a checkpoint past the
+    run's `total_steps` is a ConfigError."""
+    ckpt = Checkpoint.load(path)
+    model = model_from_checkpoint(ckpt, dtype=np.dtype(cfg.dtype))
+    state = build(TrainState, {k: v for k, v in ckpt.metadata.items()
+                               if k in TrainState.__annotations__},
+                  "metadata", FormatError)
+    if state.step > cfg.total_steps:
+        raise ConfigError(f"{path} is at step {state.step}, past the run's "
+                          f"total_steps {cfg.total_steps}")
+    optimizer.load_state_tensors(
+        {k[len("optimizer."):]: v for k, v in ckpt.tensors.items()
+         if k.startswith("optimizer.")}, model.params())
+    state.cumulative_flops = float(state.cumulative_flops)
+    return model, state
+
+
+def _logged(cfg: RunConfig, step: int) -> bool:
+    """Whether `metrics.csv` has a row for `step`."""
+    return step % cfg.metric_interval == 0 or step == cfg.total_steps - 1
+
+
 def _micro_loss_and_grads(model, inputs, targets, run):
     with Tape() as tape:
         logits = (forward_fixed(model, inputs) if isinstance(model, FixedModel)
@@ -103,44 +129,81 @@ def _micro_loss_and_grads(model, inputs, targets, run):
     return loss.item(), grad_map
 
 
+def _step(model, params, optimizer, cfg: RunConfig, state: TrainState) -> list:
+    """Optimizer step `state.step`: advances `state` and returns the step's
+    metrics row, whose last entry flags a non-finite loss or update."""
+    step = state.step
+    mean_r = curriculum_mean(cfg.curriculum, step)
+    window = window_at(cfg.window, step)
+    lr = lr_at(cfg.lr, step)
+    if isinstance(model, FixedModel):
+        sampled_r = 1
+    else:
+        sampled_r = sample_recurrence(
+            DepthDistribution(mean_r, cfg.depth_spread),
+            RandomStream(cfg.seed, f"depth/{step}"))
+    context = model.config.context_length
+    inputs, targets, _ = step_batch(cfg.seed, step, cfg.phases,
+                                    cfg.global_batch, context)
+    n_micro = cfg.global_batch // cfg.micro_batch
+    grads: dict = {}
+    loss_sum = 0.0
+    for m in range(n_micro):
+        sl = slice(m * cfg.micro_batch, (m + 1) * cfg.micro_batch)
+        run = RecurrenceRun(sampled_r, window,
+                            RandomStream(cfg.seed, f"s0/{step}/{m}"))
+        loss_val, grad_map = _micro_loss_and_grads(
+            model, inputs[sl], targets[sl], run)
+        loss_sum += loss_val
+        for name, p in params.items():
+            g = grad_map.get(p)
+            if g is None:
+                continue
+            contrib = g / n_micro
+            grads[name] = (contrib if name not in grads
+                           else grads[name] + contrib)
+    loss_val = loss_sum / n_micro
+    nonfinite = not np.isfinite(loss_val)
+    if not nonfinite:
+        try:
+            optimizer.step(params, clip_global_norm(grads, cfg.grad_clip), lr)
+        except NonFiniteError:
+            nonfinite = True
+    tokens = cfg.global_batch * context
+    state.step += 1
+    state.tokens_seen += tokens
+    state.cumulative_flops += train_flops(
+        *param_split(model.config, section_counts(model), mean_r, window),
+        tokens)
+    return [step, f"{loss_val:.10g}", f"{lr:.10g}", mean_r, sampled_r, window,
+            state.tokens_seen, f"{state.cumulative_flops:.10g}",
+            int(nonfinite)]
+
+
 def train(cfg: RunConfig, resume_from: str | None = None) -> dict:
     """Run (or resume) training; returns a summary of artifacts."""
+    optimizer = build_optimizer(cfg.optimizer, cfg.optimizer_hyper)
+    if resume_from:
+        model, state = _resume(resume_from, cfg, optimizer)
+    else:
+        model, state = build_initial_model(cfg), TrainState(0, 0, 0.0)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(resolved_config_json(cfg))
 
-    optimizer = build_optimizer(cfg.optimizer, cfg.optimizer_hyper)
-    state = TrainState(0, 0, 0.0)
-    if resume_from:
-        ckpt = Checkpoint.load(resume_from)
-        model = model_from_checkpoint(ckpt, dtype=np.dtype(cfg.dtype))
-        state = build(TrainState, {k: v for k, v in ckpt.metadata.items()
-                                   if k in TrainState.__annotations__},
-                      "metadata", FormatError)
-        optimizer.load_state_tensors(
-            {k[len("optimizer."):]: v for k, v in ckpt.tensors.items()
-             if k.startswith("optimizer.")}, model.params())
-    else:
-        model = build_initial_model(cfg)
-    start_step, tokens_seen = state.step, state.tokens_seen
-    meter = FlopMeter(float(state.cumulative_flops))
-
     params = model.params()
-    context = model.config.context_length
-    n_micro = cfg.global_batch // cfg.micro_batch
     metrics_path = out_dir / "metrics.csv"
     kept_rows = []
     if resume_from and metrics_path.exists():
         # keep the complete rows logged below the checkpoint's step; later
         # rows, a torn last line among them, are logged again below
-        steps = [[str(s)] for s in range(start_step)
-                 if s % cfg.metric_interval == 0 or s == cfg.total_steps - 1]
+        steps = [[str(s)] for s in range(state.step) if _logged(cfg, s)]
         with open(metrics_path, newline="", errors="replace") as mf:
             kept_rows = list(csv.reader(mf))[1:1 + len(steps)]
         if [row[:1] for row in kept_rows
                 if len(row) == len(METRIC_COLUMNS) and all(row)] != steps:
             raise FormatError(f"{metrics_path} lacks rows below step "
-                              f"{start_step}")
+                              f"{state.step}")
     consecutive_bad = 0
 
     with open(metrics_path, "w", newline="") as mf, \
@@ -148,71 +211,25 @@ def train(cfg: RunConfig, resume_from: str | None = None) -> dict:
         writer = csv.writer(mf)
         writer.writerow(METRIC_COLUMNS)
         writer.writerows(kept_rows)
-        for step in range(start_step, cfg.total_steps):
-            mean_r = curriculum_mean(cfg.curriculum, step)
-            window = window_at(cfg.window, step)
-            lr = lr_at(cfg.lr, step)
-            if isinstance(model, FixedModel):
-                sampled_r = 1
-            else:
-                sampled_r = sample_recurrence(
-                    DepthDistribution(mean_r, cfg.depth_spread),
-                    RandomStream(cfg.seed, f"depth/{step}"))
-            inputs, targets, _ = step_batch(cfg.seed, step, cfg.phases,
-                                            cfg.global_batch, context)
-            grads: dict = {}
-            loss_sum = 0.0
-            for m in range(n_micro):
-                sl = slice(m * cfg.micro_batch, (m + 1) * cfg.micro_batch)
-                run = RecurrenceRun(sampled_r, window,
-                                    RandomStream(cfg.seed, f"s0/{step}/{m}"))
-                loss_val, grad_map = _micro_loss_and_grads(
-                    model, inputs[sl], targets[sl], run)
-                loss_sum += loss_val
-                for name, p in params.items():
-                    g = grad_map.get(p)
-                    if g is None:
-                        continue
-                    contrib = g / n_micro
-                    grads[name] = (contrib if name not in grads
-                                   else grads[name] + contrib)
-            loss_val = loss_sum / n_micro
-            nonfinite = not np.isfinite(loss_val)
-            if not nonfinite:
-                try:
-                    clipped = clip_global_norm(grads, cfg.grad_clip)
-                    optimizer.step(params, clipped, lr)
-                except NonFiniteError:
-                    nonfinite = True
-            tokens = cfg.global_batch * context
-            tokens_seen += tokens
-            meter.add(*param_split(model.config, section_counts(model),
-                                   mean_r, window), tokens)
-            if step % cfg.metric_interval == 0 or step == cfg.total_steps - 1:
-                writer.writerow([step, f"{loss_val:.10g}", f"{lr:.10g}",
-                                 mean_r, sampled_r, window, tokens_seen,
-                                 f"{meter.cumulative:.10g}",
-                                 int(nonfinite)])
-            if nonfinite:
-                consecutive_bad += 1
-                if consecutive_bad > cfg.max_nonfinite:
-                    raise DivergenceError(
-                        f"{consecutive_bad} consecutive non-finite steps "
-                        f"at step {step}")
-            else:
-                consecutive_bad = 0
+        while state.step < cfg.total_steps:
+            row = _step(model, params, optimizer, cfg, state)
+            step, nonfinite = row[0], row[-1]
+            if _logged(cfg, step):
+                writer.writerow(row)
+            consecutive_bad = consecutive_bad + 1 if nonfinite else 0
+            if consecutive_bad > cfg.max_nonfinite:
+                raise DivergenceError(f"{consecutive_bad} consecutive "
+                                      f"non-finite steps at step {step}")
             if (cfg.checkpoint_interval
-                    and (step + 1) % cfg.checkpoint_interval == 0
-                    and step + 1 < cfg.total_steps):
+                    and state.step % cfg.checkpoint_interval == 0
+                    and state.step < cfg.total_steps):
                 mf.flush()  # rows below a checkpoint's step reach disk first
-                _save_checkpoint(out_dir / f"ckpt_step{step + 1}.rfck",
-                                 model, optimizer, TrainState(
-                                     step + 1, tokens_seen, meter.cumulative))
+                _save_checkpoint(out_dir / f"ckpt_step{state.step}.rfck",
+                                 model, optimizer, state)
 
     final_path = out_dir / "final.rfck"
-    _save_checkpoint(final_path, model, optimizer, TrainState(
-        cfg.total_steps, tokens_seen, meter.cumulative))
+    _save_checkpoint(final_path, model, optimizer, state)
     return {"final_checkpoint": str(final_path),
             "metrics": str(metrics_path),
-            "tokens_seen": tokens_seen,
-            "cumulative_flops": meter.cumulative}
+            "tokens_seen": state.tokens_seen,
+            "cumulative_flops": state.cumulative_flops}

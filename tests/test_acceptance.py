@@ -20,7 +20,7 @@ from recurfit.checkpoint import Checkpoint
 from recurfit.config import RunConfig
 from recurfit.data import eval_batch
 from recurfit.evaluate import eval_sweep, val_loss
-from recurfit.flops import FlopMeter, flops_fixed, flops_for_step
+from recurfit.flops import recurrent_split, train_flops
 from recurfit.model import (ModelConfig, RecurrenceRun, decoder_block,
                             forward_fixed, forward_recurrent, init_fixed,
                             init_recurrent, prelude_forward, recurrent_step,
@@ -194,21 +194,21 @@ def test_06_curriculum_formulas():
 
 
 def test_07_flop_accounting():
-    assert flops_fixed(10 ** 9, 10 ** 3) == 6e12
+    assert train_flops(10 ** 9, 0, 10 ** 3) == 6e12
     rep = ParamReport(embeddings=0, prelude=100, recurrent_block=40, coda=100,
                       adapter=10, final_norm=0, body=250, convention="table")
     # hand case: N1 = 200 + 8*50 = 600, N2 = 24*50 = 1200 over 1000 tokens
-    assert flops_for_step(rep, 32.0, 8, 1000) == pytest.approx(6.0e6)
+    assert train_flops(*recurrent_split(rep, 32.0, 8), 1000) == \
+        pytest.approx(6.0e6)
     # boundary r-bar = w: N2 vanishes, so a larger window changes nothing
-    assert flops_for_step(rep, 8.0, 8, 10) == \
-        pytest.approx(flops_for_step(rep, 8.0, 10 ** 6, 10))
+    assert train_flops(*recurrent_split(rep, 8.0, 8), 10) == \
+        pytest.approx(train_flops(*recurrent_split(rep, 8.0, 10 ** 6), 10))
     totals = {}
     for shape in ("one-minus-sqrt", "linear", "constant"):
         spec = CurriculumSpec(shape=shape, target=32, warmup_steps=800)
-        meter = FlopMeter()
-        for step in range(1000):
-            meter.add_recurrent(rep, curriculum_mean(spec, step), 8, 64)
-        totals[shape] = meter.cumulative
+        totals[shape] = sum(
+            train_flops(*recurrent_split(rep, curriculum_mean(spec, step), 8),
+                        64) for step in range(1000))
     assert totals["one-minus-sqrt"] < totals["linear"] < totals["constant"]
 
 

@@ -51,7 +51,9 @@ def test_tracer_install_replaces_and_uninstall_restores():
 def test_step_clock_hook_runs_once_per_step_before_the_batch(tmp_path,
                                                              monkeypatch):
     """The bench's step clock marks a step on each `train.curriculum_mean`
-    call: one per step, before that step's batch is drawn."""
+    call: one per step, before that step's batch is drawn. It closes the
+    last step on the `train._save_checkpoint` call after it, and an
+    interval save closes the step before it too."""
     import recurfit.train as train_mod
     from recurfit.config import RunConfig
     from recurfit.model import ModelConfig
@@ -60,6 +62,7 @@ def test_step_clock_hook_runs_once_per_step_before_the_batch(tmp_path,
     assert WindowSchedule("constant", 8, 0) == WindowSchedule()
     events = []
     mean, batch = train_mod.curriculum_mean, train_mod.step_batch
+    save = train_mod._save_checkpoint
 
     def counted_mean(spec, step):
         events.append(("curriculum_mean", step))
@@ -69,8 +72,13 @@ def test_step_clock_hook_runs_once_per_step_before_the_batch(tmp_path,
         events.append(("step_batch", step))
         return batch(seed, step, *args)
 
+    def counted_save(path, *args):
+        events.append(("_save_checkpoint", Path(path).name))
+        return save(path, *args)
+
     monkeypatch.setattr(train_mod, "curriculum_mean", counted_mean)
     monkeypatch.setattr(train_mod, "step_batch", counted_batch)
+    monkeypatch.setattr(train_mod, "_save_checkpoint", counted_save)
     model = ModelConfig(vocab_size=257, hidden=16, n_query_heads=2,
                         n_kv_heads=1, head_dim=8, ffn_width=16,
                         context_length=8)
@@ -78,6 +86,9 @@ def test_step_clock_hook_runs_once_per_step_before_the_batch(tmp_path,
         model=model, total_steps=3, out_dir=str(tmp_path), plan_tuple=[1, 1, 1],
         optimizer="adamw", curriculum=CurriculumSpec("linear", 4, 2),
         window=WindowSchedule("constant", 8, 0), micro_batch=2,
-        global_batch=2))
-    assert events == [(name, step) for step in range(3)
-                      for name in ("curriculum_mean", "step_batch")]
+        global_batch=2, checkpoint_interval=2))
+    steps = [[("curriculum_mean", step), ("step_batch", step)]
+             for step in range(3)]
+    assert events == [*steps[0], *steps[1],
+                      ("_save_checkpoint", "ckpt_step2.rfck"), *steps[2],
+                      ("_save_checkpoint", "final.rfck")]

@@ -19,7 +19,7 @@ from recurfit.checkpoint import Checkpoint
 from recurfit.config import RunConfig, load_config
 from recurfit.errors import ConfigError, ContractError, FormatError
 from recurfit.fields import fits
-from recurfit.flops import flops_fixed, flops_for_step
+from recurfit.flops import recurrent_split, train_flops
 import recurfit.model as model_module
 import recurfit.train as train_module
 from recurfit.model import ModelConfig, init_fixed
@@ -332,6 +332,23 @@ def test_cli_resume_with_unpaired_moment_is_format_error(tmp_path, capsys):
     assert "v.prelude.0.wq" in capsys.readouterr().err
 
 
+def test_cli_resume_past_total_steps_is_config_error(tmp_path, capsys):
+    """A step-4 checkpoint resumed into a 2-step run exits 2, naming both
+    step counts, before it writes anything into the run directory."""
+    assert main(["train", "--config", str(write_config(
+        tmp_path, total_steps=4, phases=[{"datasets": ["plain"],
+                                          "weights": [1.0], "start": 0,
+                                          "end": 4}]))]) == EXIT_OK
+    run = tmp_path / "run"
+    before = {p: p.read_bytes() for p in run.rglob("*")}
+    capsys.readouterr()
+    assert main(["train", "--config", str(write_config(tmp_path)),
+                 "--resume", str(run / "final.rfck")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "step 4" in err and "total_steps 2" in err
+    assert {p: p.read_bytes() for p in run.rglob("*")} == before
+
+
 def test_cli_flops_matches_library(tmp_path, capsys):
     code = main(["flops", "--config", str(write_config(tmp_path)),
                  "--mean-r", "32", "--window", "8", "--tokens", "1000"])
@@ -339,17 +356,17 @@ def test_cli_flops_matches_library(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     report = count_parameters(ModelConfig(**MODEL), (1, 1, 1))
     assert payload["flops"] == pytest.approx(
-        flops_for_step(report, 32.0, 8, 1000))
+        train_flops(*recurrent_split(report, 32.0, 8), 1000))
 
 
-def test_cli_flops_fixed_matches_library(tmp_path, capsys):
+def test_cli_fixed_model_flops_match_library(tmp_path, capsys):
     path = write_config(tmp_path, model_kind="fixed", fixed_depth=3)
     assert main(["flops", "--config", str(path), "--tokens", "1000"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     body = count_fixed_params(ModelConfig(**MODEL), 3)
     assert payload["model_kind"] == "fixed"
     assert payload["non_embedding_params"] == body
-    assert payload["flops"] == flops_fixed(body, 1000)
+    assert payload["flops"] == train_flops(body, 0, 1000)
 
 
 def _one_step_config(tmp_path, **extra):

@@ -7,8 +7,7 @@ from recurfit.data import (BYTE_VOCAB, SEP_TOKEN, answer_mask, eval_batch,
                            generate_document, pack_corpus, phase_mixture,
                            sample_context, step_batch, validate_phases)
 from recurfit.errors import ContractError, InputError
-from recurfit.flops import (FlopMeter, flops_fixed, flops_for_step,
-                            recurrent_split)
+from recurfit.flops import recurrent_split, train_flops
 from recurfit.random import RandomStream
 from recurfit.schedules import CurriculumSpec, curriculum_mean
 from recurfit.surgery import ParamReport
@@ -188,28 +187,30 @@ def report(prelude, recurrent, coda, adapter):
                        convention="table")
 
 
-def test_flops_fixed_trivial():
-    assert flops_fixed(10 ** 9, 10 ** 3) == pytest.approx(6e12)
+def test_fixed_model_flops_trivial():
+    assert train_flops(10 ** 9, 0, 10 ** 3) == pytest.approx(6e12)
 
 
 def test_flops_recurrent_hand_case():
     """P=C=100, R+A=50, mean r=32, window 8, 1000 tokens:
     N1 = 200 + 8*50 = 600, N2 = 24*50 = 1200 -> (3600 + 2400)*1000 = 6.0e6."""
     rep = report(100, 40, 100, 10)
-    assert flops_for_step(rep, 32.0, 8, 1000) == pytest.approx(6.0e6)
+    assert train_flops(*recurrent_split(rep, 32.0, 8), 1000) == \
+        pytest.approx(6.0e6)
 
 
 def test_flops_recurrent_all_in_window():
     """mean r <= window: everything is fully backpropped, 6*N_eff*D."""
     rep = report(100, 40, 100, 10)
     n_eff = 100 + 100 + 4 * 50
-    assert flops_for_step(rep, 4.0, 8, 77) == pytest.approx(6.0 * n_eff * 77)
+    assert train_flops(*recurrent_split(rep, 4.0, 8), 77) == \
+        pytest.approx(6.0 * n_eff * 77)
 
 
 def test_flops_boundary_equals_window():
     rep = report(3, 5, 7, 2)
-    assert flops_for_step(rep, 8.0, 8, 10) == \
-        pytest.approx(flops_for_step(rep, 8.0, 100, 10))
+    assert train_flops(*recurrent_split(rep, 8.0, 8), 10) == \
+        pytest.approx(train_flops(*recurrent_split(rep, 8.0, 100), 10))
 
 
 def test_effective_params_formula():
@@ -220,14 +221,9 @@ def test_effective_params_formula():
         assert sum(recurrent_split(rep, 32, w)) == 200 + 32 * 50
 
 
-def test_flop_meter_accumulates():
-    meter = FlopMeter()
-    rep = report(100, 40, 100, 10)
-    v1 = meter.add_recurrent(rep, 32.0, 8, 1000)
-    assert meter.cumulative == pytest.approx(v1)
-    v2 = meter.add(10 ** 6, 0, 10)
-    assert v2 == pytest.approx(6e7)
-    assert meter.cumulative == pytest.approx(v1 + v2)
+def test_train_flops_weighs_n1_six_and_n2_two():
+    assert train_flops(1, 0, 1) == 6.0 and train_flops(0, 1, 1) == 2.0
+    assert train_flops(10 ** 6, 0, 10) == pytest.approx(6e7)
 
 
 def test_cumulative_flops_order_across_curricula():
@@ -236,8 +232,7 @@ def test_cumulative_flops_order_across_curricula():
     totals = {}
     for shape in ("one-minus-sqrt", "linear", "constant"):
         spec = CurriculumSpec(shape=shape, target=32, warmup_steps=800)
-        meter = FlopMeter()
-        for step in range(1000):
-            meter.add_recurrent(rep, curriculum_mean(spec, step), 8, 64)
-        totals[shape] = meter.cumulative
+        totals[shape] = sum(
+            train_flops(*recurrent_split(rep, curriculum_mean(spec, step), 8),
+                        64) for step in range(1000))
     assert totals["one-minus-sqrt"] < totals["linear"] < totals["constant"]

@@ -17,7 +17,7 @@ from recurfit.checkpoint import Checkpoint
 from recurfit.config import RunConfig, resolved_config_json
 from recurfit.errors import DivergenceError, FormatError, NonFiniteError
 from recurfit.evaluate import val_loss
-from recurfit.flops import flops_fixed, flops_for_step
+from recurfit.flops import recurrent_split, train_flops
 from recurfit.model import ModelConfig, init_fixed
 from recurfit.random import RandomStream
 from recurfit.schedules import CurriculumSpec, WindowSchedule, WsdSpec
@@ -506,7 +506,8 @@ def test_flops_follow_the_checkpoint_plan(tmp_path):
     apply_surgery(donor, make_plan((2, 2, 2), 6), "identity-pass",
                   noise_std=0.0).save(init)
     row = one_step_from(init, tmp_path / "run")
-    expected = flops_for_step(count_parameters(FLOP_CFG, (2, 2, 2)), 4, 8, 32)
+    expected = train_flops(
+        *recurrent_split(count_parameters(FLOP_CFG, (2, 2, 2)), 4, 8), 32)
     assert expected == 4005888
     assert float(row[7]) == expected
 
@@ -517,4 +518,4 @@ def test_fixed_init_checkpoint_trains_as_fixed(tmp_path):
     row = one_step_from(init, tmp_path / "run")
     assert int(row[4]) == 1  # sampled_r
     body = count_fixed_params(FLOP_CFG, 3)
-    assert float(row[7]) == flops_fixed(body, 32)
+    assert float(row[7]) == train_flops(body, 0, 32)

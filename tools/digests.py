@@ -1,7 +1,7 @@
 """SHA-256 digests of the bytes that recurfit's seeded flows write.
 
 Runs a fixed matrix of small seeded flows (training runs, donor surgery,
-a resume, evaluation, pruning, layer scores and FLOP accounting), each
+resumes, evaluation, pruning, layer scores and FLOP accounting), each
 in new interpreters and a fresh directory, once with
 OPENBLAS_NUM_THREADS=1 and once with the environment's default, and
 prints one JSON object {flow: {artifact: {threads: sha256}}}. An
@@ -117,6 +117,15 @@ FLOWS = {
                _train("run"), ("copy", "run", "resumed"),
                _train("run", "--set", "out_dir=resumed", "--resume",
                       "resumed/ckpt_step2.rfck")],
+    # rows 0, 3, 6 and the last step's 7; the resume keeps rows 0 and 3
+    "resume-sparse": [_config("run", total_steps=8, metric_interval=3,
+                              checkpoint_interval=2, plan_tuple=[1, 2, 1],
+                              optimizer="muon",
+                              lr={**RUN["lr"], "stable_steps": 5,
+                                  "decay_steps": 2}),
+                      _train("run"), ("copy", "run", "resumed"),
+                      _train("run", "--set", "out_dir=resumed", "--resume",
+                             "resumed/ckpt_step4.rfck")],
     "eval": [_config("donor", **DONOR), _train("donor"),
              *_trained("run", total_steps=2, plan_tuple=[1, 2, 1],
                        optimizer="muon"),
