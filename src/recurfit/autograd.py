@@ -5,9 +5,11 @@ numpy holds the values; each op appends a :class:`Node` to the active
 Ops take :class:`Tensor` operands only; a constant is a Tensor leaf.
 There is deliberately no autograd graph without a tape: calling ops
 outside a ``with Tape()`` block, or inside a ``with no_record()`` block,
-is plain (and faster) numpy. Fused ops (causal_attn, silu_glu,
-rms_norm, cross_entropy_mean, ...) keep the op count small enough that
-finite-difference sweeps over every parameter stay cheap.
+is plain (and faster) numpy. Fused ops (causal_attn, rms_norm,
+cross_entropy_mean, ...) keep the op count small enough that
+finite-difference sweeps over every parameter stay cheap. Every weight
+product is a `matmul`, and no op writes out another op's gradient:
+`silu_glu` is `matmul`, `silu` and `mul` composed.
 
 The tape holds the graph, not the values. A record refers to its
 output only weakly, and each op's backward closure captures exactly the
@@ -32,7 +34,9 @@ fewer passes: the attention softmax runs in place on whole (n, n)
 products (row blocks of a product can round differently on OpenBLAS),
 and RoPE adds a half-swapped view instead of concatenating halves. Each
 op allocates the arrays it makes, the same way on and off the tape; the
-cached causal masks are the only state an op keeps between calls.
+cached causal masks are the only state an op keeps between calls. A
+backward never writes into the gradient it is given, which may be
+shared: `add` hands the same array to both of its parents.
 
 Ops do not check results for NaN/Inf; checkpoint tensors are checked at
 load, and losses, gradient norms and layer scores where they are read.
@@ -377,40 +381,30 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return sig
 
 
+def silu(x: Tensor) -> Tensor:
+    """x * sigmoid(x). Backward builds g * sig * (1 + x * (1 - sig)) in
+    an array of its own, never in g."""
+    xd = x.data
+    sig = _sigmoid(xd)
+
+    def bwd(g):
+        dsig = 1.0 - sig
+        dsig *= xd
+        dsig += 1.0
+        dsig *= sig
+        return (_mul_into(dsig, g),)
+
+    return _make(xd * sig, (x,), bwd)
+
+
 def silu_glu(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
     """SwiGLU feed-forward: (silu(x @ w_gate) * (x @ w_up)) @ w_down.
 
-    Backward keeps x, gate, up and sigmoid(gate), and runs the gradient
-    expressions of the unfused matmul, silu(gate) * up, matmul chain.
-    Products go into an operand that is no longer read (`_mul_into`). x
-    is a parent twice, once per product, so the tape adds the up and then
-    the gate product's x gradient to what x's later consumers gave it, in
-    the order it added the two products' gradients."""
-    xd, wg, wu, wd = x.data, w_gate.data, w_up.data, w_down.data
-    gate = xd @ wg
-    up = xd @ wu
-    sig = _sigmoid(gate)
-
-    def bwd(g):
-        silu = gate * sig
-        dsig = 1.0 - sig
-        dsig *= gate
-        dsig += 1.0
-        dsig *= sig                      # sig * (1 + gate * (1 - sig))
-        gwd = _unbroadcast(np.swapaxes(silu * up, -1, -2) @ g, wd.shape)
-        gh = g @ np.swapaxes(wd, -1, -2)
-        g_gate = _mul_into(up * gh, dsig)
-        del dsig
-        g_up = _mul_into(silu, gh)
-        del silu, gh
-        xt = np.swapaxes(xd, -1, -2)
-        return (g_up @ np.swapaxes(wu, -1, -2),
-                g_gate @ np.swapaxes(wg, -1, -2),
-                _unbroadcast(xt @ g_gate, wg.shape),
-                _unbroadcast(xt @ g_up, wu.shape), gwd)
-
-    hidden = _mul_into(sig * gate, up)
-    return _make(hidden @ wd, (x, x, w_gate, w_up, w_down), bwd)
+    The gate product is recorded before the up product, so the tape adds
+    the up and then the gate product's x gradient to what x's later
+    consumers gave it."""
+    gated = silu(matmul(x, w_gate))
+    return matmul(mul(gated, matmul(x, w_up)), w_down)
 
 
 def _heads(a: np.ndarray, n_heads: int, head_dim: int) -> np.ndarray:

@@ -400,9 +400,10 @@ def _init_model(cfg: ModelConfig, counts: tuple, stream: RandomStream,
     def draw(name: str, shape: tuple) -> Tensor:
         if len(shape) == 1:
             return Tensor(np.ones(shape, dtype=dtype))
-        return Tensor(stream.normal(shape, 0.0,
-                                    std.get(name.rsplit(".", 1)[-1], base),
-                                    dtype=dtype))
+        with np.errstate(over="ignore"):  # an overflowing draw is inf
+            return Tensor(stream.normal(shape, 0.0,
+                                        std.get(name.rsplit(".", 1)[-1], base),
+                                        dtype=dtype))
 
     return make(cfg, [[f"{j}.{i}" for i in range(n)]
                       for j, n in enumerate(counts)], draw)

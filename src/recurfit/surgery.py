@@ -208,8 +208,10 @@ def adapter_weights(adapter_init: str, h: int, depth: int, dtype,
         if noise_std > 0:
             if stream is None:
                 raise ContractError("noise_std > 0 requires a random stream")
-            adapter = adapter + stream.normal((2 * h, h), 0.0, noise_std,
-                                              dtype=dtype)
+            # an overflowing draw is inf, which the checkpoint check reports
+            with np.errstate(over="ignore"):
+                adapter = adapter + stream.normal((2 * h, h), 0.0, noise_std,
+                                                  dtype=dtype)
         return adapter
     if adapter_init == "scaled-random":
         if stream is None:

@@ -200,6 +200,7 @@ def test_mlp_gradients_match_finite_differences(fd_check):
     ("mul", ((3, 4), (4,))),
     ("rms_norm", ((2, 5), (5,))),
     ("concat", ((2, 3), (2, 4))),
+    ("silu", ((3, 4), (4,))),
 ])
 def test_elementwise_ops_match_finite_differences(op, shapes, fd_check):
     rng = np.random.default_rng(2)
@@ -213,6 +214,8 @@ def test_elementwise_ops_match_finite_differences(op, shapes, fd_check):
             return ag.mul(a, b)
         if op == "rms_norm":
             return ag.rms_norm(a, b, 1e-5)
+        if op == "silu":  # b is unused, its gradient zero
+            return ag.silu(a)
         return ag.concat_last(a, b)
 
     def loss_fn():
@@ -222,6 +225,22 @@ def test_elementwise_ops_match_finite_differences(op, shapes, fd_check):
         loss = ag.tmean(apply_op())
         grads = ag.backward(loss, tape)
     fd_check({"a": a, "b": b}, loss_fn, grads, samples_per_param=6)
+
+
+def test_silu_backward_leaves_a_shared_gradient_alone():
+    """`add` hands one gradient array to both of its parents: silu's
+    backward builds its own, so the other parent's gradient is the
+    upstream gradient bit for bit."""
+    rng = np.random.default_rng(3)
+    x, y, g = (rng.standard_normal((3, 4)) for _ in range(3))
+    leaves = Tensor(x), Tensor(y)
+    with Tape() as tape:
+        out = ag.add(ag.silu(leaves[0]), leaves[1])
+        grads = ag.backward(ag.tsum(ag.mul(out, Tensor(g))), tape)
+    assert grads[leaves[1]].tobytes() == g.tobytes()
+    sig = 1.0 / (1.0 + np.exp(-x))
+    np.testing.assert_allclose(grads[leaves[0]],
+                               g * sig * (1.0 + x * (1.0 - sig)))
 
 
 def test_stream_counter_advances():

@@ -660,6 +660,37 @@ def test_overflowing_readout_exits_4_under_warnings_as_errors(tmp_path,
         assert result.returncode == EXIT_DIVERGENCE, result.stderr
 
 
+def test_overflowing_init_draw_exits_as_without_warnings_as_errors(
+        tmp_path, donor_ckpt):
+    """A draw whose std overflows gives inf weights under `python -W
+    error` too: surgery and a donor run with adapter noise 1e308 stop on
+    the non-finite adapter (exit 4), and a scratch run with emb_scale
+    1e308 trains on, writing non-finite rows (exit 0), as each does
+    without -W error. The overflow used to escape as a RuntimeWarning
+    (exit 1)."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for name in ("donor", "scratch"):
+        (tmp_path / name).mkdir()
+    donor_run = write_config(tmp_path / "donor",
+                             donor_checkpoint=str(donor_ckpt),
+                             adapter_noise_std=1e308)
+    scratch_run = write_config(tmp_path / "scratch", emb_scale=1e308)
+    cut = tmp_path / "cut.rfck"
+    for args, code in (
+            (["surgery", "--donor", str(donor_ckpt), "--plan-tuple", "1,2,1",
+              "--noise-std", "1e308", "--out", str(cut)], EXIT_DIVERGENCE),
+            (["train", "--config", str(donor_run)], EXIT_DIVERGENCE),
+            (["train", "--config", str(scratch_run)], EXIT_OK)):
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "recurfit.cli", *args],
+            env=env, capture_output=True, text=True)
+        assert result.returncode == code, result.stderr
+    assert not cut.exists()
+    with open(tmp_path / "scratch" / "run" / "metrics.csv", newline="") as f:
+        assert [row["nonfinite"] for row in csv.DictReader(f)] == ["1", "1"]
+
+
 def test_module_entry_point_exit_status(tmp_path):
     """`python -m recurfit.cli` exits with the code `main` returns."""
     env = dict(os.environ,

@@ -524,9 +524,10 @@ def test_block_segments_match_recording_directly_bitwise(tiny_cfg, variant,
 
 
 def test_segments_multiply_the_models_own_weights(tiny_fixed, monkeypatch):
-    """Forward and the re-run in backward hand each projection the
-    block's weight object itself, which the bench tracer keys its matmul
-    families by."""
+    """Forward and the re-run in backward hand each of the seven
+    projections, the MLP's three included, the block's weight object
+    itself, which the bench tracer keys its matmul families by. Backward
+    re-runs the MLP segment before the attention segment."""
     bw, cfg = tiny_fixed.blocks[0], tiny_fixed.config
     seen = []
     matmul = ag.matmul
@@ -539,10 +540,12 @@ def test_segments_multiply_the_models_own_weights(tiny_fixed, monkeypatch):
     x = Tensor(np.ones((1, 3, cfg.hidden)))
     with Tape() as tape:
         y = decoder_block(x, bw, cfg)
-        assert len(seen) == 4
+        assert len(seen) == 7
         ag.backward(ag.tsum(y), tape)
-    assert [id(w) for w in seen] == [id(w) for w in (bw.wq, bw.wk, bw.wv,
-                                                     bw.wo)] * 2
+    attention = [bw.wq, bw.wk, bw.wv, bw.wo]
+    mlp = [bw.w_gate, bw.w_up, bw.w_down]
+    assert list(map(id, seen)) == list(map(id, attention + mlp + mlp
+                                           + attention))
 
 
 def test_taped_forward_holds_less_than_its_op_outputs(tiny_recurrent,

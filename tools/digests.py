@@ -43,8 +43,7 @@ RUN = {"model": MODEL, "total_steps": 3, "out_dir": "run", "seed": 7,
        "micro_batch": 8, "global_batch": 8,
        "curriculum": {"shape": "linear", "target": 4, "warmup_steps": 3},
        "window": {"shape": "constant", "target": 2, "warmup_steps": 0},
-       "lr": {"peak": 1e-3, "warmup_steps": 1, "stable_steps": 1,
-              "decay_steps": 1}}
+       "lr": {"peak": 1e-3, "warmup_steps": 1}}  # every step after 0 updates
 DONOR = {"model_kind": "fixed", "fixed_depth": 4, "total_steps": 0,
          "out_dir": "donor", "dtype": "float64"}
 PRUNE = ("import sys\n"
