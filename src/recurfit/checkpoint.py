@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -111,9 +112,13 @@ class Checkpoint:
                 lo, hi = ent["offset"], ent["offset"] + ent["nbytes"]
                 if lo < 0 or hi > len(payload):
                     raise FormatError(f"{path}: tensor {name} outside payload")
-                arr = np.frombuffer(payload[lo:hi], dtype=np.dtype(ent["dtype"]))
+                with warnings.catch_warnings():  # a deprecated alias: "a8"
+                    warnings.simplefilter("error", DeprecationWarning)
+                    dtype = np.dtype(ent["dtype"])
+                arr = np.frombuffer(payload[lo:hi], dtype=dtype)
                 tensors[name] = arr.reshape(ent["shape"]).copy()
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError,
+                    DeprecationWarning) as exc:
                 raise FormatError(f"{path}: bad directory entry for tensor "
                                   f"{name}: {exc!r}") from exc
             spans.append((lo, hi, name))

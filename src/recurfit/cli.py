@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .checkpoint import Checkpoint
-from .config import load_config
+from .config import load_config, make_dir
 from .data import eval_batch
 from .errors import (ConfigError, ContractError, DivergenceError, FormatError,
                      InputError, NonFiniteError, PlanError)
@@ -42,11 +42,12 @@ EXIT_FORMAT = 5
 
 def _out_path(name: str) -> Path:
     """`name` under RECURFIT_OUT_ROOT, with its parent directory made; a
-    path that names an existing directory is a ConfigError."""
+    path that names an existing directory, or whose parent cannot be a
+    directory, is a ConfigError."""
     path = Path(os.environ.get("RECURFIT_OUT_ROOT", ".")) / name
     if path.is_dir():
         raise ConfigError(f"output path {path} is a directory")
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_dir(path.parent)
     return path
 
 

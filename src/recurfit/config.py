@@ -112,5 +112,14 @@ def load_config(path, overrides: list | None = None) -> RunConfig:
     return build(RunConfig, data, "", ConfigError)
 
 
+def make_dir(path: Path) -> None:
+    """`path.mkdir` with parents; a ConfigError if it cannot be made."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make directory {path}: "
+                          f"{exc.strerror or exc}") from exc
+
+
 def resolved_config_json(cfg: RunConfig) -> str:
     return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True)

@@ -10,14 +10,19 @@ training order is reproducible and resumable without RNG state.
 
 from __future__ import annotations
 
+from typing import Literal
+
 import numpy as np
 
 from .errors import ContractError, InputError
+from .fields import fits
 from .random import RandomStream
 
 SEP_TOKEN = 256
 BYTE_VOCAB = 257
 DATASET_IDS = ("plain", "arithmetic", "copy")
+_PHASE = {"datasets": list[Literal[DATASET_IDS]], "weights": list[float],
+          "start": int, "end": int}  # a `phases` entry's keys and types
 
 _LEXICON = ("the quick brown fox jumps over a lazy dog while rain falls on "
             "green hills and small birds sing near quiet rivers under pale "
@@ -87,11 +92,14 @@ def validate_phases(phases: list, total_steps: int) -> None:
         raise ContractError("at least one phase is required")
     expected_start = 0
     for ph in phases:
-        if not isinstance(ph, dict):
-            raise ContractError(f"phase {ph!r} is not an object")
-        missing = {"datasets", "weights", "start", "end"} - set(ph)
-        if missing:
-            raise ContractError(f"phase lacks {sorted(missing)}")
+        if type(ph) is not dict or set(ph) != set(_PHASE):
+            raise ContractError(f"phase {ph!r} is not an object with exactly "
+                                f"the keys {sorted(_PHASE)}")
+        for key, hint in _PHASE.items():
+            if not fits(ph[key], hint):
+                raise ContractError(
+                    f"phase {key} {ph[key]!r} is not of type "
+                    f"{hint.__name__ if type(hint) is type else hint}")
         if ph["start"] != expected_start:
             raise ContractError("phase step ranges must partition the run")
         if ph["end"] <= ph["start"]:
@@ -99,9 +107,6 @@ def validate_phases(phases: list, total_steps: int) -> None:
         weights = np.asarray(ph["weights"], dtype=np.float64)
         if len(ph["datasets"]) != len(weights):
             raise ContractError("datasets and weights length mismatch")
-        if unknown := [d for d in ph["datasets"] if d not in DATASET_IDS]:
-            raise ContractError(f"unknown dataset ids {unknown}, not in "
-                                f"{DATASET_IDS}")
         if (weights < 0).any() or abs(weights.sum() - 1.0) > 1e-9:
             raise ContractError("phase weights must be nonnegative and sum to 1")
         expected_start = ph["end"]
@@ -118,6 +123,13 @@ def phase_mixture(phases: list, step: int) -> dict:
     raise ContractError(f"step {step} outside all phase ranges")
 
 
+def _stacked_contexts(items, context_length: int) -> tuple:
+    """(inputs, targets) stacked from `sample_context` over (dataset,
+    stream) pairs, one row each."""
+    rows = [sample_context(d, stream, context_length) for d, stream in items]
+    return tuple(np.stack(column) for column in zip(*rows))
+
+
 def step_batch(seed: int, step: int, phases: list, batch_size: int,
                context_length: int) -> tuple:
     """Deterministic (inputs, targets) batch for one optimizer step."""
@@ -125,15 +137,11 @@ def step_batch(seed: int, step: int, phases: list, batch_size: int,
     datasets = list(mixture)
     probs = np.asarray([mixture[d] for d in datasets], dtype=np.float64)
     probs /= probs.sum()
-    inputs = np.empty((batch_size, context_length), dtype=np.int64)
-    targets = np.empty((batch_size, context_length), dtype=np.int64)
-    names = []
-    for i in range(batch_size):
-        stream = RandomStream(seed, f"data/{step}/{i}")
-        dataset = datasets[stream.choice(len(datasets), probs)]
-        names.append(dataset)
-        inputs[i], targets[i] = sample_context(dataset, stream, context_length)
-    return inputs, targets, names
+    streams = [RandomStream(seed, f"data/{step}/{i}")
+               for i in range(batch_size)]
+    names = [datasets[stream.choice(len(datasets), probs)]
+             for stream in streams]
+    return (*_stacked_contexts(zip(names, streams), context_length), names)
 
 
 def eval_batch(seed: int, dataset_id: str, count: int,
@@ -143,13 +151,9 @@ def eval_batch(seed: int, dataset_id: str, count: int,
         raise InputError(f"an eval batch needs at least one item and one "
                          f"token of context, got {count} items of "
                          f"{context_length}")
-    inputs = np.empty((count, context_length), dtype=np.int64)
-    targets = np.empty((count, context_length), dtype=np.int64)
-    for i in range(count):
-        stream = RandomStream(seed, f"eval/{dataset_id}/{i}")
-        inputs[i], targets[i] = sample_context(dataset_id, stream,
-                                               context_length)
-    return inputs, targets
+    return _stacked_contexts(
+        ((dataset_id, RandomStream(seed, f"eval/{dataset_id}/{i}"))
+         for i in range(count)), context_length)
 
 
 def answer_mask(dataset_id: str, targets: np.ndarray) -> np.ndarray:

@@ -3,11 +3,11 @@
 The fixed-depth model is a plain llama-style stack. The recurrent model
 splits the stack into a prelude, a weight-shared recurrent block entered
 through a bias-free 2h->h adapter, and a coda; the prelude output is
-injected into every recurrent iteration. Under truncated backprop only
-the last w of r iterations are recorded on the tape: the iterations
-before them run untaped, since no gradient reaches them. For evaluation,
-`recurrence_sweep` runs the recurrence once up to the largest requested
-count and reads out logits at each requested count on the way.
+injected into every recurrent iteration. One loop, `recurrence_sweep`,
+steps the recurrent block up to the largest requested count, reads out
+logits at each requested count on the way, and runs its leading
+iterations untaped: that is the truncated backprop of training's
+`forward_recurrent`, the sweep at one count.
 
 This module owns the parameter layout: `block_shapes(cfg)` and
 `outer_shapes(cfg)` give every tensor's name and shape, `make` builds
@@ -18,6 +18,7 @@ before the recurrent block, final_norm, unembed).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
 
@@ -110,12 +111,6 @@ class RecurrenceRun:
     r: int = bounded(1)
     window: int = bounded(1)
     s0_stream: RandomStream
-
-    @property
-    def detach_boundary(self) -> int:
-        """Number of leading iterations that carry no gradients; they
-        run untaped."""
-        return self.r - min(self.r, self.window)
 
 
 @dataclass
@@ -302,40 +297,27 @@ def recurrent_step(model: RecurrentModel, s: Tensor, e: Tensor) -> Tensor:
                       model.recurrent, model.config)
 
 
-def _coda_logits(model: RecurrentModel, s: Tensor) -> Tensor:
-    return _unembed_logits(run_blocks(s, model.coda, model.config), model)
+def forward_recurrent(model, tokens, run: RecurrenceRun) -> Tensor:
+    """Logits after `run.r` recurrent iterations under truncated backprop:
+    `recurrence_sweep` at that one count, with all but the last
+    min(r, window) untaped. It serves a fixed model too."""
+    [(_, logits)] = recurrence_sweep(model, tokens, (run.r,), run.s0_stream,
+                                     untaped=run.r - min(run.r, run.window))
+    return logits
 
 
-def forward_recurrent(model: RecurrentModel, tokens, run: RecurrenceRun) -> Tensor:
-    """Recurrent forward under truncated backprop.
-
-    The first `run.detach_boundary` iterations run under `ag.no_record()`:
-    backward never reaches them, so they leave nothing on the tape and
-    each state is freed once the next iteration has read it. The last
-    min(r, window) iterations are recorded. The injected prelude output e
-    feeds every recorded iteration, so prelude gradients flow through
-    each of them.
-    """
-    tokens = _check_tokens(tokens, model.config)
-    e = prelude_forward(model, tokens)
-    s = sample_initial_state(model.config, *tokens.shape, run.s0_stream,
-                             dtype=model.embed.dtype)
-    with ag.no_record():
-        for _ in range(run.detach_boundary):
-            s = recurrent_step(model, s, e)
-    for _ in range(run.r - run.detach_boundary):
-        s = recurrent_step(model, s, e)
-    return _coda_logits(model, s)
-
-
-def recurrence_sweep(model, tokens, recurrences, s0_stream: RandomStream):
+def recurrence_sweep(model, tokens, recurrences, s0_stream: RandomStream,
+                     untaped: int = 0):
     """Yield (r, logits) for each distinct r in `recurrences`, ascending.
 
     One pass: the prelude runs and s0 is drawn once, then the recurrent
     block iterates up to the largest r, and coda + unembed read out the
-    state at each requested r. The logits at r equal those of
-    `forward_recurrent` at r from the same s0 stream, bit for bit. A
-    fixed-depth model has no recurrence: its one forward serves every r.
+    state at each requested r. The first `untaped` iterations run under
+    `ag.no_record()`: backward never reaches them, so they leave nothing
+    on the tape and each state is freed once the next iteration has read
+    it. The injected prelude output e feeds every recorded iteration, so
+    prelude gradients flow through each. A fixed-depth model has no
+    recurrence: its one forward serves every r.
     """
     wanted = sorted(set(recurrences))
     if not wanted or wanted[0] < 1:
@@ -348,12 +330,12 @@ def recurrence_sweep(model, tokens, recurrences, s0_stream: RandomStream):
     e = prelude_forward(model, tokens)
     s = sample_initial_state(model.config, *tokens.shape, s0_stream,
                              dtype=model.embed.dtype)
-    done = 0
-    for r in wanted:
-        for _ in range(r - done):
+    for r in range(1, wanted[-1] + 1):
+        with ag.no_record() if r <= untaped else contextlib.nullcontext():
             s = recurrent_step(model, s, e)
-        done = r
-        yield r, _coda_logits(model, s)
+        if r in wanted:
+            yield r, _unembed_logits(run_blocks(s, model.coda, model.config),
+                                     model)
 
 
 # ---------------------------------------------------------------------------

@@ -27,15 +27,14 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tape
-from .config import RunConfig, resolved_config_json
+from .config import RunConfig, make_dir, resolved_config_json
 from .checkpoint import Checkpoint
 from .data import step_batch
 from .errors import ConfigError, DivergenceError, FormatError, NonFiniteError
 from .fields import bounded, build, checked_dataclass
 from .flops import param_split, train_flops
-from .model import (FixedModel, RecurrenceRun, forward_fixed,
-                    forward_recurrent, init_fixed, init_recurrent,
-                    section_counts)
+from .model import (FixedModel, RecurrenceRun, forward_recurrent,
+                    init_fixed, init_recurrent, section_counts)
 from .optim import build_optimizer, clip_global_norm
 from .random import RandomStream
 from .schedules import (DepthDistribution, curriculum_mean, lr_at,
@@ -121,8 +120,7 @@ def _logged(cfg: RunConfig, step: int) -> bool:
 
 def _micro_loss_and_grads(model, inputs, targets, run):
     with Tape() as tape:
-        logits = (forward_fixed(model, inputs) if isinstance(model, FixedModel)
-                  else forward_recurrent(model, inputs, run))
+        logits = forward_recurrent(model, inputs, run)
         loss = ag.cross_entropy_mean(logits, targets)
         del logits  # no backward reads the logits; free them before it runs
         grad_map = ag.backward(loss, tape)
@@ -188,7 +186,7 @@ def train(cfg: RunConfig, resume_from: str | None = None) -> dict:
     else:
         model, state = build_initial_model(cfg), TrainState(0, 0, 0.0)
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(out_dir)
     (out_dir / "config.json").write_text(resolved_config_json(cfg))
 
     params = model.params()

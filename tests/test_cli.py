@@ -472,6 +472,35 @@ def test_cli_out_naming_a_directory_is_config_error(tmp_path, donor_ckpt,
     assert list(root.rglob("*")) == [root / "taken"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "{config}", "--set", "out_dir={root}/afile"],
+    ["train", "--config", "{config}", "--set", "out_dir={root}/afile/sub"],
+    ["eval", "--checkpoint", "{donor}", "--recurrences", "1", "--items", "1",
+     "--out", "afile/x.csv"],
+    ["schedule-dump", "--config", "{config}", "--out", "afile/s.csv"],
+    ["surgery", "--donor", "{donor}", "--plan-tuple", "1,2,1", "--out",
+     "afile/sub/cut.rfck"],
+    ["surgery", "--donor", "{donor}", "--plan-tuple", "1,2,1", "--out",
+     "cut.rfck", "--plan-file", "afile/plan.json"],
+], ids=["train-out-dir", "train-out-dir-below", "eval", "schedule-dump",
+        "surgery-out", "surgery-plan-file"])
+def test_cli_out_under_a_regular_file_is_config_error(tmp_path, donor_ckpt,
+                                                      monkeypatch, capsys,
+                                                      argv):
+    """Each used to exit 1 with a raw FileExistsError or
+    NotADirectoryError."""
+    root = tmp_path / "root"
+    root.mkdir()
+    (root / "afile").write_text("kept")
+    monkeypatch.setenv("RECURFIT_OUT_ROOT", str(root))
+    config = write_config(tmp_path)
+    args = [a.format(config=config, root=root, donor=donor_ckpt) for a in argv]
+    assert main(args) == EXIT_CONFIG
+    assert f"{root / 'afile'}" in capsys.readouterr().err
+    assert sorted(root.rglob("*")) == [root / "afile"]
+    assert (root / "afile").read_text() == "kept"
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("flops", "--mean-r", "0.5"), ("flops", "--mean-r", "nan"),
     ("flops", "--mean-r", "inf"), ("flops", "--window", "-3"),
@@ -541,10 +570,13 @@ def test_exit_code_config_error(tmp_path, donor_ckpt, capsys):
     ("lr.peak=Infinity", "lr.peak"),
     ("optimizer_hyper.beta1=NaN", "optimizer_hyper"),
     ("grad_clip=-Infinity", "grad_clip"),
+    ('phases=[{"datasets": ["plain"], "weights": [NaN], "start": 0, '
+     '"end": 2}]', "phase weights [nan]"),
 ])
 def test_non_finite_config_float_is_config_error(tmp_path, capsys, override,
                                                  needle):
-    """JSON accepts NaN and Infinity; no float field does."""
+    """JSON accepts NaN and Infinity; no float field does, nor a phase
+    weight (a NaN weight used to exit 1 at step 0)."""
     code = main(["train", "--config", str(write_config(tmp_path)),
                  "--set", override])
     assert code == EXIT_CONFIG
@@ -786,6 +818,24 @@ def test_exit_code_bad_checkpoint_layout(tmp_path, donor_ckpt, recurrent_ckpt,
         assert main(["surgery", "--donor", str(bad), "--plan-tuple", "1,1,1",
                      "--out", str(tmp_path / "x.rfck")]) == EXIT_FORMAT
         assert main(["layer-scores", "--checkpoint", str(bad)]) == EXIT_FORMAT
+
+
+def test_deprecated_dtype_alias_is_format_error_under_warnings_as_errors(
+        tmp_path, donor_ckpt):
+    """numpy 2 reads the dtype "a8" with a DeprecationWarning; under
+    `python -W error` that escaped `Checkpoint.load` (exit 1), while
+    without it the bytes string embed exited 5."""
+    bad = _rewritten_checkpoint(
+        tmp_path, donor_ckpt, lambda d: d["embed"].update(dtype="a8"))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for warnings in ([], ["-W", "error"]):
+        result = subprocess.run(
+            [sys.executable, *warnings, "-m", "recurfit.cli", "eval",
+             "--checkpoint", str(bad), "--recurrences", "1", "--items", "1"],
+            env=env, capture_output=True, text=True)
+        assert result.returncode == EXIT_FORMAT, result.stderr
+        assert "embed" in result.stderr and "Warning:" not in result.stderr
 
 
 @pytest.mark.parametrize("dtype", ["<U8", "complex128"])

@@ -99,12 +99,45 @@ def test_validate_phases_accepts_partition():
     (lambda p: p[0].update(datasets=["plain", "copy"]), "length"),
     (lambda p: p[1].update(datasets=["plain", "arithmetik"]),
      "unknown-dataset"),
+    (lambda p: p[0].update(weights=[float("nan")]), "nan-weight"),
+    (lambda p: p[0].update(weights=[[1.0]]), "nested-weight"),
+    (lambda p: p[0].update(weights=["1"]), "string-weight"),
+    (lambda p: p[0].update(weights=[True]), "bool-weight"),
+    (lambda p: p[0].update(weights=1.0), "scalar-weights"),
+    (lambda p: p[0].update(datasets="plain"), "string-datasets"),
+    (lambda p: p[1].update(start=50.0, end=100.0), "float-range"),
+    (lambda p: p[0].update(bogus=1), "extra-key"),
+    (lambda p: p.__setitem__(0, [("datasets", ["plain"])]), "not-an-object"),
 ])
 def test_validate_phases_rejects_bad_partitions(mutate, field):
     phases = two_phase(100)
     mutate(phases)
     with pytest.raises(ContractError):
         validate_phases(phases, 100)
+
+
+def test_batches_draw_each_item_from_its_own_stream():
+    """Item i of a step batch draws its dataset, then its context, from
+    stream data/<step>/i; item i of an eval batch its context from
+    eval/<dataset>/i."""
+    phases = [{"datasets": ["plain", "arithmetic", "copy"],
+               "weights": [0.2, 0.3, 0.5], "start": 0, "end": 10}]
+    probs = np.array([0.2, 0.3, 0.5])
+    inputs, targets, names = step_batch(7, 3, phases, 5, 32)
+    evals = eval_batch(7, "copy", 3, 32)
+    assert inputs.shape == targets.shape == (5, 32)
+    assert inputs.dtype == targets.dtype == np.int64
+    for i in range(5):
+        stream = RandomStream(7, f"data/3/{i}")
+        name = ("plain", "arithmetic", "copy")[stream.choice(3, probs)]
+        want = sample_context(name, stream, 32)
+        assert names[i] == name
+        np.testing.assert_array_equal(inputs[i], want[0])
+        np.testing.assert_array_equal(targets[i], want[1])
+    for i in range(3):
+        want = sample_context("copy", RandomStream(7, f"eval/copy/{i}"), 32)
+        for got, row in zip(evals, want):
+            np.testing.assert_array_equal(got[i], row)
 
 
 def test_phase_mixture_half_open_boundary():

@@ -252,6 +252,40 @@ def test_recurrence_sweep_matches_forward_recurrent(tiny_recurrent):
                               RandomStream(9, "s0")))
 
 
+def test_untaped_sweep_iterations_leave_nothing_on_the_tape(tiny_recurrent):
+    """The sweep's untaped leading iterations give the same logits, also
+    where they reach past the smallest count, and record no node."""
+    tokens = np.array([[1, 2, 3]])
+    nodes, rows = [], []
+    for counts, untaped in (([2, 3, 5], 0), ([2, 3, 5], 3), ([2, 3, 5], 4),
+                            ([1, 2, 3], 0)):
+        with Tape() as tape:
+            rows.append([(r, logits.data) for r, logits in recurrence_sweep(
+                tiny_recurrent, tokens, counts, RandomStream(9, "s0"),
+                untaped=untaped)])
+        nodes.append(len(tape.nodes))
+    for untaped_rows in rows[1:3]:
+        assert [r for r, _ in untaped_rows] == [2, 3, 5]
+        for (_, plain), (_, got) in zip(rows[0], untaped_rows):
+            np.testing.assert_array_equal(plain, got)
+    # each sweep records the prelude, three readouts and the iterations
+    # past its untaped ones: 2 at untaped=3, 1 at untaped=4, 3 below
+    step = nodes[1] - nodes[2]
+    assert step > 0 and nodes[0] == nodes[1] + 3 * step
+    assert nodes[3] == nodes[1] + step
+
+
+def test_forward_recurrent_on_a_fixed_model_is_its_one_forward(tiny_fixed):
+    """Training calls `forward_recurrent` for both model kinds; a fixed
+    model answers it with `forward_fixed`, drawing no s0."""
+    tokens = np.array([[1, 2, 3, 4]])
+    stream = RandomStream(9, "s0")
+    got = forward_recurrent(tiny_fixed, tokens, RecurrenceRun(1, 8, stream))
+    np.testing.assert_array_equal(got.data,
+                                  forward_fixed(tiny_fixed, tokens).data)
+    assert stream.counter == 0
+
+
 def test_truncation_locality_iteration_sum(tiny_recurrent):
     """R-block grads equal the sum of per-iteration contributions from
     only the last w iterations, measured in the fully back-propagated

@@ -271,3 +271,116 @@ def test_resume_from_a_damaged_checkpoint_ends_the_run_or_exits_with_its_code(
     else:
         assert code in (cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_DIVERGENCE,
                         cli.EXIT_FORMAT)
+
+
+# Each example runs one tiny command: eval reads at most 8 items (one
+# micro-batch, so it does not fork) at r <= 4, and a dump at most 1000 steps.
+CLI_RUN = settings(max_examples=80, deadline=None,
+                   suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                          HealthCheck.too_slow])
+# `{dir}` is each example's fresh directory, which holds the directory
+# `taken` and the regular file `afile`.
+OUT = st.sampled_from(["{dir}/new/out", "{dir}/taken", "{dir}/afile/out"])
+DATASET = st.sampled_from(["plain", "arithmetic", "copy", "wikipedia"])
+
+
+def number(low, high, kind=int):
+    """A number flag's text: mostly in [low, high], else 0, negative, NaN
+    or infinite."""
+    small = (st.floats(low, high) if kind is float
+             else st.integers(low, high)).map(str)
+    return st.one_of(small, small, small, st.sampled_from(
+        ["0", "-1", "-7", "nan", "inf", "-inf"]))
+
+
+def int_list(low, high, size):
+    """A comma list: mostly `size` ints in [low, high], else any length
+    and 0 or negative entries."""
+    return st.one_of(
+        st.lists(st.integers(low, high), min_size=size, max_size=size),
+        st.lists(st.integers(low, high), min_size=size, max_size=size),
+        st.lists(st.integers(-1, high), min_size=1, max_size=size + 1)).map(
+        lambda xs: ",".join(map(str, xs)))
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """Paths of a tiny fixed donor, a tiny recurrent checkpoint and a run
+    config."""
+    where = tmp_path_factory.mktemp("cli")
+    cfg = ModelConfig(**MODEL)
+    paths = {"donor": where / "donor.rfck",
+             "recurrent": where / "recurrent.rfck",
+             "config": where / "config.json"}
+    model_to_checkpoint(init_fixed(cfg, 3, RandomStream(0, "init"))).save(
+        paths["donor"])
+    model_to_checkpoint(init_recurrent(cfg, (1, 1, 1), RandomStream(
+        0, "init"))).save(paths["recurrent"])
+    paths["config"].write_text(json.dumps(VALID_CONFIG))
+    return {name: str(path) for name, path in paths.items()}
+
+
+@st.composite
+def cli_argvs(draw, inputs):
+    """An argv of flops, schedule-dump, surgery, layer-scores or eval,
+    each optional flag set or left out."""
+    command = draw(st.sampled_from(["flops", "schedule-dump", "surgery",
+                                    "layer-scores", "eval"]))
+    argv = [command]
+
+    def maybe(flag, values):
+        if draw(st.booleans()):
+            argv.extend([flag, draw(values)])
+
+    checkpoint = st.sampled_from([inputs["donor"], inputs["recurrent"]])
+    if command == "flops":
+        argv += ["--config", inputs["config"], "--tokens",
+                 draw(number(0, 10 ** 6))]
+        maybe("--mean-r", number(1, 64, float))
+        maybe("--window", number(1, 16))
+    elif command == "schedule-dump":
+        argv += ["--config", inputs["config"]]
+        maybe("--steps", number(0, 1000))
+        maybe("--out", OUT)
+    elif command == "surgery":
+        argv += ["--donor", inputs["donor"], "--plan-tuple",
+                 draw(int_list(0, 2, 3)), "--out", draw(OUT)]
+        maybe("--plan-file", OUT)
+        maybe("--noise-std", number(0, 1, float))
+        maybe("--seed", number(0, 9))
+        maybe("--adapter-init", st.sampled_from(["identity-pass",
+                                                 "scaled-random"]))
+    elif command == "layer-scores":
+        argv += ["--checkpoint", draw(checkpoint)]
+        maybe("--items", number(1, 8))
+        maybe("--context", number(1, 16))
+        maybe("--data-seed", number(0, 9))
+        maybe("--dataset", DATASET)
+    else:
+        argv += ["--checkpoint", draw(checkpoint), "--items", draw(number(1, 8)),
+                 "--recurrences", draw(int_list(1, 4, 2))]
+        maybe("--s0-seed", number(0, 9))
+        maybe("--data-seed", number(0, 9))
+        maybe("--dataset", DATASET)
+        maybe("--out", OUT)
+    return argv
+
+
+@CLI_RUN
+@given(data=st.data())
+def test_cli_never_exits_1(tmp_path, cli_inputs, data):
+    """Every argv of these commands ends in success or in a code of the
+    error taxonomy (2 to 5); an argparse rejection counts as 2. An error
+    the CLI does not map would exit 1. Output paths under a regular file
+    used to."""
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    (work / "taken").mkdir()
+    (work / "afile").write_text("")
+    argv = [arg.replace("{dir}", str(work))
+            for arg in data.draw(cli_argvs(cli_inputs))]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA,
+                    cli.EXIT_DIVERGENCE, cli.EXIT_FORMAT), argv
